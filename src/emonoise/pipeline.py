@@ -449,8 +449,13 @@ def _clean_frames(config: RunConfig, entry: ManifestEntry) -> np.ndarray:
     return mfcc(_load_clip(config, entry.path), config.mfcc)
 
 
-def _training_set(config: RunConfig, train_entries, categories=None):
-    """Stack per-segment vectors and labels for the training split."""
+def _training_set(config: RunConfig, train_entries, noises=None):
+    """Stack per-segment vectors and labels for the training split.
+
+    ``noises`` maps each noise category to its loaded clip; training on
+    noisy speech draws one category and SNR per utterance from it.
+    """
+    categories = list(noises or ())
     blocks = []
     labels = []
     for entry in train_entries:
@@ -462,7 +467,7 @@ def _training_set(config: RunConfig, train_entries, categories=None):
             )
             category = categories[int(pick.integers(len(categories)))]
             snr = config.snrs_db[int(pick.integers(len(config.snrs_db)))]
-            noise = load_noise(config, category)
+            noise = noises[category]
             spec = MixSpec(snr, noise_offset_for(config.seed, name, len(noise)), config.seed)
             frames = mfcc(mix_at_snr(clip, noise, spec), config.mfcc)
         else:
@@ -480,9 +485,11 @@ def train_model(config: RunConfig, progress=None) -> Path:
     train_entries = [e for e in manifest if e.split == "train"]
     if not train_entries:
         raise ValueError("manifest has no training utterances")
-    categories = resolve_noise_categories(config) if config.train_on_noisy else None
+    noises = None
+    if config.train_on_noisy:
+        noises = {c: load_noise(config, c) for c in resolve_noise_categories(config)}
 
-    features, labels = _training_set(config, train_entries, categories)
+    features, labels = _training_set(config, train_entries, noises)
     log(f"training set: {features.shape[0]} segment vectors from {len(train_entries)} utterances")
     mean, std = fit_standardization(features)
     train_cfg = replace(config.train, seed=config.seed)

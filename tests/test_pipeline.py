@@ -1,8 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emonoise import pipeline
 from emonoise.audio import AudioClip, MixSpec, mix_at_snr, read_wav, write_wav
 from emonoise.config import RunConfig
 from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig
@@ -25,6 +28,7 @@ from emonoise.pipeline import (
     read_report,
     run_experiment,
     split,
+    train_model,
     write_manifest,
     write_report,
 )
@@ -388,6 +392,28 @@ class TestExperimentStages:
         assert len(cached) == 70
         direct = mfcc(read_wav(clean_dir / "01a01Wa.wav"), config.mfcc)
         np.testing.assert_array_equal(read_feature_cache(out_dir / "01a01Wa.mfc"), direct)
+
+    def test_noisy_training_loads_each_noise_once(self, tmp_path, tone_corpus, monkeypatch):
+        clean_dir, noise_dir = tone_corpus
+        noise_root = tmp_path / "noise"
+        for name in ("pink", "white"):
+            (noise_root / name).mkdir(parents=True)
+            shutil.copy(noise_dir / "white" / "ch01.wav", noise_root / name / "ch01.wav")
+        calls = []
+        real_load_noise = pipeline.load_noise
+
+        def counting_load_noise(config, category):
+            calls.append(category)
+            return real_load_noise(config, category)
+
+        monkeypatch.setattr(pipeline, "load_noise", counting_load_noise)
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_root), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0, 10.0), train_on_noisy=True, hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        train_model(config)
+        assert sorted(calls) == ["pink", "white"]
 
     def test_small_end_to_end_run(self, tmp_path, tone_corpus):
         clean_dir, noise_dir = tone_corpus
