@@ -24,7 +24,7 @@ from .dbn import (
     save_model,
     visible_recon,
 )
-from .dsp import MfccConfig, SegmentConfig, dct2, fft, frame_signal, hz_to_mel, mel_filterbank, mel_to_hz, mfcc, segment_features
+from .dsp import MfccConfig, SegmentConfig, dct2, frame_signal, hz_to_mel, mel_filterbank, mel_to_hz, mfcc, segment_features
 from .pipeline import (
     EvalReport,
     Label,

@@ -1,5 +1,10 @@
 """Command-line entry point exposing the pipeline stages.
 
+The stages are ``prepare`` (manifest.csv), ``train`` (model.dbn) and
+``evaluate`` (report.csv); ``run`` chains them and ``report`` checks the
+result. Features are computed from the WAVs inside each stage that needs
+them and are never cached on disk.
+
 Exit codes: 0 success, 1 domain error (bad paths, malformed data), 2 usage
 error. Progress goes to stderr; only ``report --print`` writes to stdout.
 """
@@ -15,7 +20,6 @@ from .config import DELTA_MODES, SPLIT_STRATEGIES, ConfigError, RunConfig, load_
 
 _STAGES = {
     "prepare": "build the corpus manifest and train/test split",
-    "featurize": "extract and cache clean MFCC feature matrices",
     "train": "pretrain and fine-tune the classifier, saving model.dbn",
     "evaluate": "score clean and every noise condition, writing report.csv",
     "report": "validate an existing report (use --print to dump it)",
@@ -119,8 +123,6 @@ def dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     try:
         if args.command == "prepare":
             pipeline.prepare(config, log)
-        elif args.command == "featurize":
-            pipeline.featurize(config, log)
         elif args.command == "train":
             pipeline.train_model(config, log)
         elif args.command == "evaluate":

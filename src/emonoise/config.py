@@ -9,7 +9,7 @@ Parsing a serialized config yields the identical RunConfig back.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .dbn import TrainConfig
 from .dsp import MfccConfig, SegmentConfig
@@ -201,8 +201,3 @@ def serialize_config(cfg: RunConfig) -> str:
 def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w") as fh:
         fh.write(serialize_config(cfg))
-
-
-def config_fields() -> tuple[str, ...]:
-    """Top-level RunConfig field names (handy for override plumbing)."""
-    return tuple(f.name for f in fields(RunConfig))

@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._files import atomic_open
+
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
 
 N_LABELS = 7
-DEFAULT_LAYER_SIZES = (13, 1000, 1000, 2000)
 
 _MODEL_MAGIC = b"DBN1"
 _MODEL_VERSION = 1
@@ -309,22 +310,24 @@ def train_rbm(rbm: Rbm, data: np.ndarray, cfg: TrainConfig, rng: np.random.Gener
 
 def pretrain_dbn(
     data,
-    layer_sizes=None,
+    layer_sizes,
     cfg: TrainConfig = TrainConfig(),
     standardization: tuple[np.ndarray, np.ndarray] | None = None,
     n_labels: int = N_LABELS,
 ) -> Dbn:
     """Greedy layerwise pretraining on already-standardized feature vectors.
 
-    Each RBM is trained on the deterministic hidden probabilities of the
-    one below it; the softmax head is randomly initialized (seeded normal,
-    sd 0.01). ``standardization`` is the (mean, std) pair the caller fitted
-    on raw training features, stored for use by forward().
+    ``layer_sizes`` is the input width followed by each hidden width, e.g.
+    the paper's (13, 1000, 1000, 2000). Each RBM is trained on the
+    deterministic hidden probabilities of the one below it; the softmax head
+    is randomly initialized (seeded normal, sd 0.01). ``standardization`` is
+    the (mean, std) pair the caller fitted on raw training features, stored
+    for use by forward().
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("pretraining data must be a nonempty 2-D array")
-    sizes = list(DEFAULT_LAYER_SIZES) if layer_sizes is None else list(layer_sizes)
+    sizes = list(layer_sizes)
     if len(sizes) < 2:
         raise ValueError("layer_sizes needs an input size and at least one hidden size")
     if sizes[0] != data.shape[1]:
@@ -492,7 +495,7 @@ def save_model(dbn: Dbn, path) -> None:
     parts.append(_pack_f64(dbn.softmax_bias))
     parts.append(_pack_f64(dbn.input_mean))
     parts.append(_pack_f64(dbn.input_std))
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 

@@ -1,9 +1,10 @@
-"""MFCC front end: framing, FFT, mel filterbank, cepstral transform.
+"""MFCC front end: framing, power spectrum, mel filterbank, cepstral transform.
 
 The pipeline per frame is: pre-emphasis, Hamming window, zero-pad to the
-FFT size, power spectrum, triangular mel filterbank, log with a floor,
-orthonormal DCT-II keeping the first ``n_ceps`` coefficients (C0 kept).
-Frame rows are then averaged into fixed-length segments for the classifier.
+FFT size, power spectrum (``np.fft.rfft``), triangular mel filterbank, log
+with a floor, orthonormal DCT-II keeping the first ``n_ceps`` coefficients
+(C0 kept). Frame rows are then averaged into fixed-length segments for the
+classifier.
 
 Everything is a pure function; extracting features for distinct utterances
 can run in parallel without coordination.
@@ -11,15 +12,12 @@ can run in parallel without coordination.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .audio import AudioClip
-
-_FEATURE_MAGIC = b"MFC1"
 
 
 @dataclass(frozen=True)
@@ -63,43 +61,6 @@ class SegmentConfig:
     def __post_init__(self) -> None:
         if self.seg_frames < 1 or self.seg_hop < 1:
             raise ValueError("seg_frames and seg_hop must be at least 1")
-
-
-@lru_cache(maxsize=32)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    rev.flags.writeable = False
-    return rev
-
-
-def fft(buffer) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT, sign convention e^{-2*pi*i*k*n/N}.
-
-    Accepts a 1-D buffer or a batch with the transform applied along the
-    last axis. Length must be a power of two.
-    """
-    x = np.asarray(buffer)
-    n = x.shape[-1]
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"fft length must be a power of two, got {n}")
-    out = np.ascontiguousarray(x, dtype=np.complex128)[..., _bit_reverse_indices(n)]
-    m = 2
-    while m <= n:
-        half = m // 2
-        twiddle = np.exp((-2j * np.pi / m) * np.arange(half))
-        view = out.reshape(out.shape[:-1] + (n // m, m))
-        even = view[..., :half]
-        odd = view[..., half:] * twiddle
-        upper = even + odd
-        lower = even - odd
-        view[..., :half] = upper
-        view[..., half:] = lower
-        m *= 2
-    return out
 
 
 def frame_signal(samples, frame_len: int, hop: int) -> np.ndarray:
@@ -207,7 +168,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     padded = np.zeros((frames.shape[0], cfg.fft_size))
     padded[:, :n] = emphasized * window
 
-    spectrum = fft(padded)[:, : cfg.fft_size // 2 + 1]
+    spectrum = np.fft.rfft(padded)
     power = (spectrum.real**2 + spectrum.imag**2) / cfg.fft_size
     energies = power @ mel_filterbank(cfg, clip.sample_rate_hz).T
     return dct2(np.log(np.maximum(energies, cfg.log_floor)), cfg.n_ceps)
@@ -229,28 +190,3 @@ def segment_features(frames, scfg: SegmentConfig = SegmentConfig()) -> np.ndarra
     starts = range(0, n - scfg.seg_frames + 1, scfg.seg_hop)
     return np.stack([mat[s : s + scfg.seg_frames].mean(axis=0) for s in starts])
 
-
-def write_feature_cache(matrix, path) -> None:
-    """Persist a feature matrix: magic MFC1, u32 rows, u32 cols, f64 LE row-major."""
-    mat = np.ascontiguousarray(matrix, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("feature cache stores 2-D matrices")
-    with open(path, "wb") as fh:
-        fh.write(_FEATURE_MAGIC)
-        fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-        fh.write(mat.astype("<f8").tobytes())
-
-
-def read_feature_cache(path) -> np.ndarray:
-    """Read a matrix written by write_feature_cache."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _FEATURE_MAGIC:
-        raise ValueError(f"{path}: bad feature cache magic")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated feature cache header")
-    rows, cols = struct.unpack_from("<II", blob, 4)
-    expected = 12 + rows * cols * 8
-    if len(blob) != expected:
-        raise ValueError(f"{path}: truncated feature cache (want {expected} bytes, have {len(blob)})")
-    return np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=12).reshape(rows, cols).copy()

@@ -5,6 +5,11 @@ baseline plus every configured noise category x SNR on the test split, and
 reports the clean-vs-noisy accuracy difference per condition. Utterance
 labels come from majority vote over segment predictions; segment-level
 accuracy is reported alongside.
+
+The stages hand over three files in the work directory: manifest.csv,
+model.dbn and report.csv, each replaced atomically. MFCC features are
+recomputed from the WAVs by whichever stage needs them, so they always
+follow the current config.
 """
 
 from __future__ import annotations
@@ -19,17 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open
 from .audio import AudioClip, MixSpec, mix_at_snr, read_wav, resample
 from .config import RunConfig
-from .dbn import Dbn, fine_tune, forward, load_model, pretrain_dbn, save_model
-from .dsp import (
-    MfccConfig,
-    SegmentConfig,
-    mfcc,
-    read_feature_cache,
-    segment_features,
-    write_feature_cache,
-)
+from .dbn import N_LABELS, Dbn, fine_tune, forward, load_model, pretrain_dbn, save_model
+from .dsp import MfccConfig, SegmentConfig, mfcc, segment_features
 
 
 class Label(IntEnum):
@@ -41,8 +40,6 @@ class Label(IntEnum):
     NEUTRAL = 5
     SADNESS = 6
 
-
-N_LABELS = len(Label)
 
 # Berlin corpus filename convention: speaker(2) text(3) emotion(1) version(1),
 # e.g. 03a01Fa.wav -> speaker 03, Freude (joy)
@@ -158,7 +155,7 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
 
 
 def write_manifest(manifest, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "label", "speaker", "split"])
         for e in manifest:
@@ -321,7 +318,7 @@ def write_report(reports, path) -> None:
         (r for r in reports if r.condition != CLEAN_CONDITION),
         key=lambda r: (r.condition, r.snr_db),
     )
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in clean_rows + noisy_rows:
@@ -395,10 +392,6 @@ def manifest_path(config: RunConfig) -> Path:
     return _work_dir(config) / "manifest.csv"
 
 
-def features_dir(config: RunConfig) -> Path:
-    return _work_dir(config) / "features"
-
-
 def model_path(config: RunConfig) -> Path:
     return _work_dir(config) / "model.dbn"
 
@@ -425,42 +418,19 @@ def _require_manifest(config: RunConfig, progress=None):
     return read_manifest(path)
 
 
-def featurize(config: RunConfig, progress=None) -> Path:
-    """Extract and cache clean MFCC matrices for every manifest entry.
-
-    The cache is specific to the current dsp settings; re-run after
-    changing them.
-    """
-    log = progress or (lambda msg: None)
-    manifest = _require_manifest(config, progress)
-    out_dir = features_dir(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for entry in manifest:
-        clip = _load_clip(config, entry.path)
-        write_feature_cache(mfcc(clip, config.mfcc), out_dir / (Path(entry.path).stem + ".mfc"))
-    log(f"features: {len(manifest)} matrices -> {out_dir}")
-    return out_dir
-
-
-def _clean_frames(config: RunConfig, entry: ManifestEntry) -> np.ndarray:
-    cached = features_dir(config) / (Path(entry.path).stem + ".mfc")
-    if cached.exists():
-        return read_feature_cache(cached)
-    return mfcc(_load_clip(config, entry.path), config.mfcc)
-
-
 def _training_set(config: RunConfig, train_entries, noises=None):
     """Stack per-segment vectors and labels for the training split.
 
-    ``noises`` maps each noise category to its loaded clip; training on
-    noisy speech draws one category and SNR per utterance from it.
+    ``noises`` maps each noise category to its loaded clip. When it is
+    given, each utterance is mixed with one category at one SNR, both drawn
+    from a generator keyed by the seed and the utterance name.
     """
     categories = list(noises or ())
     blocks = []
     labels = []
     for entry in train_entries:
-        if config.train_on_noisy:
-            clip = _load_clip(config, entry.path)
+        clip = _load_clip(config, entry.path)
+        if noises:
             name = Path(entry.path).name
             pick = np.random.default_rng(
                 [config.seed, zlib.crc32(name.encode())]
@@ -469,10 +439,8 @@ def _training_set(config: RunConfig, train_entries, noises=None):
             snr = config.snrs_db[int(pick.integers(len(config.snrs_db)))]
             noise = noises[category]
             spec = MixSpec(snr, noise_offset_for(config.seed, name, len(noise)), config.seed)
-            frames = mfcc(mix_at_snr(clip, noise, spec), config.mfcc)
-        else:
-            frames = _clean_frames(config, entry)
-        segments = segment_features(frames, config.segment)
+            clip = mix_at_snr(clip, noise, spec)
+        segments = segment_features(mfcc(clip, config.mfcc), config.segment)
         blocks.append(segments)
         labels.extend([int(entry.label)] * segments.shape[0])
     return np.vstack(blocks), np.asarray(labels, dtype=np.int64)

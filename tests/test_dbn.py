@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,6 +445,20 @@ class TestPersistence:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.dbn"
+        save_model(small_dbn(seed=43), path)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="no space"):
+            save_model(small_dbn(seed=44), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.dbn"]
 
     def test_unset_standardization_rejected(self, tmp_path):
         model = small_dbn(seed=42)

@@ -9,52 +9,72 @@ from emonoise.dsp import (
     MfccConfig,
     SegmentConfig,
     dct2,
-    fft,
     frame_signal,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
     mfcc,
-    read_feature_cache,
     segment_features,
-    write_feature_cache,
 )
 
 
+def naive_dft_mfcc(clip, cfg):
+    """mfcc() rebuilt step by step, with the O(N^2) oracle DFT as its spectrum."""
+    frames = frame_signal(clip.samples, cfg.frame_len, cfg.hop)
+    emphasized = frames.copy()
+    emphasized[:, 1:] -= cfg.preemph * frames[:, :-1]
+    n = cfg.frame_len
+    window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
+    padded = np.zeros((frames.shape[0], cfg.fft_size))
+    padded[:, :n] = emphasized * window
+    power = np.abs(naive_dft(padded)[:, : cfg.fft_size // 2 + 1]) ** 2 / cfg.fft_size
+    energies = power @ mel_filterbank(cfg, clip.sample_rate_hz).T
+    return dct2(np.log(np.maximum(energies, cfg.log_floor)), cfg.n_ceps)
+
+
+def scaled_config(fft_size):
+    """Frame length, hop and mel count scaled with the FFT size; 512 is the default."""
+    n_mels = max(1, min(26, fft_size // 8))
+    return MfccConfig(
+        frame_len=fft_size * 25 // 32, hop=max(1, fft_size * 5 // 16),
+        fft_size=fft_size, n_mels=n_mels, n_ceps=min(13, n_mels),
+    )
+
+
 class TestFft:
-    def test_impulse_is_flat(self):
-        np.testing.assert_allclose(fft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
+    """The spectrum inside mfcc, checked through the coefficients it produces."""
 
-    def test_constant_concentrates_in_dc(self):
-        c = 2.5 - 1.5j
-        out = fft(np.full(8, c))
-        np.testing.assert_allclose(out[0], 8 * c, atol=1e-12)
-        np.testing.assert_allclose(out[1:], 0, atol=1e-12)
-
-    def test_random_length_eight_matches_naive_dft(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        np.testing.assert_allclose(fft(x), naive_dft(x), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
     def test_matches_naive_dft_across_sizes(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        assert np.abs(fft(x) - naive_dft(x)).max() < 1e-9
+        cfg = scaled_config(n)
+        clip = AudioClip(np.random.default_rng(n).uniform(-1, 1, 4000), 16000)
+        assert np.abs(mfcc(clip, cfg) - naive_dft_mfcc(clip, cfg)).max() < 1e-9
+
+    def test_impulse_is_flat(self):
+        # without pre-emphasis an impulse frame has the flat power spectrum w[k]^2 / N
+        cfg = MfccConfig(preemph=0.0)
+        k = 123
+        samples = np.zeros(cfg.frame_len)
+        samples[k] = 1.0
+        window = 0.54 - 0.46 * np.cos(2 * np.pi * k / (cfg.frame_len - 1))
+        energies = window**2 / cfg.fft_size * mel_filterbank(cfg, 16000).sum(axis=1)
+        expected = dct2(np.log(energies), cfg.n_ceps)
+        np.testing.assert_allclose(mfcc(AudioClip(samples, 16000), cfg), [expected], atol=1e-9)
 
     def test_batch_matches_per_row(self):
-        rng = np.random.default_rng(3)
-        batch = rng.standard_normal((5, 16))
-        rows = np.stack([fft(row) for row in batch])
-        np.testing.assert_array_equal(fft(batch), rows)
+        cfg = MfccConfig()
+        samples = np.random.default_rng(3).uniform(-1, 1, 4000)
+        batch = mfcc(AudioClip(samples, 16000), cfg)
+        rows = np.vstack([
+            mfcc(AudioClip(samples[i * cfg.hop : i * cfg.hop + cfg.frame_len], 16000), cfg)
+            for i in range(batch.shape[0])
+        ])
+        np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [0, 3, 6, 12])
     def test_non_power_of_two_rejected(self, n):
-        with pytest.raises(ValueError):
-            fft(np.zeros(n))
-
-    def test_length_one_is_identity(self):
-        np.testing.assert_array_equal(fft([3.0]), [3.0 + 0j])
+        with pytest.raises(ValueError, match="power of two"):
+            MfccConfig(frame_len=1, fft_size=n)
 
 
 class TestFrameSignal:
@@ -261,28 +281,6 @@ class TestSegmentFeatures:
         expected = sum(1 for s in range(0, n, hop) if s + seg <= n) if n >= seg else 1
         frames = np.zeros((n, 13))
         assert segment_features(frames, SegmentConfig(seg_frames=seg, seg_hop=hop)).shape[0] == expected
-
-
-class TestFeatureCache:
-    def test_round_trip(self, tmp_path):
-        mat = np.random.default_rng(9).standard_normal((17, 13))
-        path = tmp_path / "f.mfc"
-        write_feature_cache(mat, path)
-        np.testing.assert_array_equal(read_feature_cache(path), mat)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.mfc"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            read_feature_cache(path)
-
-    def test_truncated(self, tmp_path):
-        mat = np.ones((4, 3))
-        path = tmp_path / "t.mfc"
-        write_feature_cache(mat, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_feature_cache(path)
 
 
 class TestMfccConfigValidation:

@@ -9,7 +9,7 @@ from emonoise import pipeline
 from emonoise.audio import AudioClip, MixSpec, mix_at_snr, read_wav, write_wav
 from emonoise.config import RunConfig
 from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig
-from emonoise.dsp import MfccConfig, SegmentConfig, mfcc, read_feature_cache
+from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
 from emonoise.pipeline import (
     EvalReport,
     Label,
@@ -20,7 +20,6 @@ from emonoise.pipeline import (
     emodb_label_rule,
     emodb_speaker_rule,
     evaluate,
-    featurize,
     fit_standardization,
     majority_vote,
     noise_offset_for,
@@ -149,6 +148,17 @@ class TestManifestCsv:
         write_manifest(manifest, path)
         assert path.read_text().splitlines()[0] == "path,label,speaker,split"
         assert read_manifest(path) == manifest
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        manifest = split(synthetic_manifest(per_label=3), "stratified_random", 0.34, seed=2)
+        path = tmp_path / "manifest.csv"
+        write_manifest(manifest, path)
+        before = path.read_bytes()
+        broken = manifest[:2] + [ManifestEntry("x.wav", "not a label", "01", "train")]
+        with pytest.raises(AttributeError):
+            write_manifest(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -353,6 +363,17 @@ class TestReportCsv:
         assert lines[3].startswith("car,10.000000,")
         assert lines[4].startswith("white,0.000000,")
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report([dummy_report("clean", None, 0.9, 0.9)], path)
+        before = path.read_bytes()
+        broken = dummy_report("white", 0.0, 0.5, 0.9)
+        broken.snr_db = "zero"  # fails to format after the clean row is written
+        with pytest.raises(ValueError):
+            write_report([dummy_report("clean", None, 0.8, 0.8), broken], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
     def test_read_round_trip(self, tmp_path):
         path = tmp_path / "report.csv"
         write_report([dummy_report("clean", None, 0.9, 0.9)], path)
@@ -380,18 +401,6 @@ class TestExperimentStages:
             run_experiment(config)
         assert not (work / "manifest.csv").exists()
         assert not (work / "model.dbn").exists()
-
-    def test_featurize_writes_readable_cache(self, tmp_path, tone_corpus):
-        clean_dir, noise_dir = tone_corpus
-        config = RunConfig(
-            clean_dir=str(clean_dir), noise_dir=str(noise_dir),
-            work_dir=str(tmp_path / "work"),
-        )
-        out_dir = featurize(config)
-        cached = sorted(out_dir.iterdir())
-        assert len(cached) == 70
-        direct = mfcc(read_wav(clean_dir / "01a01Wa.wav"), config.mfcc)
-        np.testing.assert_array_equal(read_feature_cache(out_dir / "01a01Wa.mfc"), direct)
 
     def test_noisy_training_loads_each_noise_once(self, tmp_path, tone_corpus, monkeypatch):
         clean_dir, noise_dir = tone_corpus
