@@ -50,6 +50,14 @@ class TestFft:
         clip = AudioClip(np.random.default_rng(n).uniform(-1, 1, 4000), 16000)
         assert np.abs(mfcc(clip, cfg) - naive_dft_mfcc(clip, cfg)).max() < 1e-9
 
+    def test_random_length_eight_matches_naive_dft(self):
+        # one unpadded random frame of length 8: every DFT bin comes from the samples
+        cfg = MfccConfig(frame_len=8, hop=8, fft_size=8, n_mels=1, n_ceps=1)
+        clip = AudioClip(np.random.default_rng(7).standard_normal(8), 16000)
+        coeffs = mfcc(clip, cfg)
+        assert coeffs.shape == (1, 1)
+        np.testing.assert_allclose(coeffs, naive_dft_mfcc(clip, cfg), rtol=0, atol=1e-9)
+
     def test_impulse_is_flat(self):
         # without pre-emphasis an impulse frame has the flat power spectrum w[k]^2 / N
         cfg = MfccConfig(preemph=0.0)
