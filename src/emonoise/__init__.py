@@ -12,6 +12,7 @@ from .dbn import (
     Dbn,
     ModelFormatError,
     Rbm,
+    RbmState,
     TrainConfig,
     cd_update,
     fine_tune,

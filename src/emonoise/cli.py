@@ -1,9 +1,9 @@
 """Command-line entry point exposing the pipeline stages.
 
-The stages are ``prepare`` (manifest.csv), ``train`` (model.dbn) and
-``evaluate`` (report.csv); ``run`` chains them and ``report`` checks the
-result. Features are computed from the WAVs inside each stage that needs
-them and are never cached on disk.
+The stages are ``prepare`` (manifest.csv), ``train`` (model.dbn and
+model.key) and ``evaluate`` (report.csv); ``run`` chains them and ``report``
+checks the result. Features are computed from the WAVs inside each stage
+that needs them and are never cached on disk.
 
 Exit codes: 0 success, 1 domain error (bad paths, malformed data), 2 usage
 error. Progress goes to stderr; only ``report --print`` writes to stdout.

@@ -7,8 +7,11 @@ fine-tuning unrolls the stack into a sigmoid feedforward net with a softmax
 head and backpropagates mean cross-entropy.
 
 Every training routine is a pure function of its inputs and the config
-seed: repeated runs produce bit-identical parameters. Trained models are
-immutable values, safe for concurrent read-only inference.
+seed: repeated runs produce bit-identical parameters. Training updates
+private mutable arrays in place (an ``RbmState`` per RBM during
+pretraining, a working copy of the network during fine-tuning) and freezes
+them into ``Rbm``/``Dbn`` values once, at the end. The returned models are
+never written again, so they are safe for concurrent read-only inference.
 """
 
 from __future__ import annotations
@@ -36,13 +39,25 @@ class ModelFormatError(ValueError):
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        from_pos = 1.0 / (1.0 + np.exp(-x))
-        ex = np.exp(x)
-        from_neg = ex / (1.0 + ex)
-    return np.where(x >= 0, from_pos, from_neg)
+    """Numerically stable logistic function, exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    For x >= 0 that is 1 / (1 + e^-x) and for x < 0 it is e^x / (1 + e^x),
+    so neither exp can overflow and no per-element branch is needed.
+    """
+    return _sigmoid_inplace(np.array(x, dtype=np.float64))
+
+
+def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array ``z`` with sigmoid(z); one scratch buffer."""
+    den = np.empty_like(z)
+    np.abs(z, out=den)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= den
+    return z
 
 
 def softplus(x) -> np.ndarray:
@@ -162,32 +177,50 @@ class Dbn:
         return self.softmax_bias.shape[0]
 
 
-@dataclass
-class CdVelocity:
-    """Momentum buffers carried across cd_update calls by a training loop."""
+class RbmState:
+    """The mutable training copy of an Rbm, advanced in place by cd_update.
 
-    weights: np.ndarray
-    visible_bias: np.ndarray
-    hidden_bias: np.ndarray
+    Holds the parameters, their momentum buffers and two weight-sized
+    scratch buffers for the CD statistics, so a training step allocates no
+    weight-sized array. The Rbm it is made from is never written;
+    ``freeze`` returns the current parameters as a new, validated Rbm.
+    """
 
-    @classmethod
-    def zeros_like(cls, rbm: Rbm) -> "CdVelocity":
-        return cls(
-            np.zeros_like(rbm.weights),
-            np.zeros_like(rbm.visible_bias),
-            np.zeros_like(rbm.hidden_bias),
-        )
+    def __init__(self, rbm: Rbm) -> None:
+        self.visible_kind = rbm.visible_kind
+        self.weights = rbm.weights.copy()
+        self.visible_bias = rbm.visible_bias.copy()
+        self.hidden_bias = rbm.hidden_bias.copy()
+        self.velocity_weights = np.zeros_like(self.weights)
+        self.velocity_visible_bias = np.zeros_like(self.visible_bias)
+        self.velocity_hidden_bias = np.zeros_like(self.hidden_bias)
+        self.grad = np.empty_like(self.weights)
+        self.scratch = np.empty_like(self.weights)
+
+    @property
+    def n_visible(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_hidden(self) -> int:
+        return self.weights.shape[1]
+
+    def freeze(self) -> Rbm:
+        return Rbm(self.weights.copy(), self.visible_bias.copy(), self.hidden_bias.copy(),
+                   visible_kind=self.visible_kind)
 
 
-def hidden_probs(rbm: Rbm, v) -> np.ndarray:
+def hidden_probs(rbm: Rbm | RbmState, v) -> np.ndarray:
     """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W). Accepts a batch."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != rbm.n_visible:
         raise ValueError(f"visible vector has {v.shape[-1]} entries, want {rbm.n_visible}")
-    return sigmoid(v @ rbm.weights + rbm.hidden_bias)
+    pre = v @ rbm.weights
+    pre += rbm.hidden_bias
+    return _sigmoid_inplace(pre)
 
 
-def visible_recon(rbm: Rbm, h) -> np.ndarray:
+def visible_recon(rbm: Rbm | RbmState, h) -> np.ndarray:
     """Reconstruct visibles from hidden activity.
 
     Bernoulli units give probabilities sigmoid(visible_bias + h @ W.T);
@@ -197,8 +230,9 @@ def visible_recon(rbm: Rbm, h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != rbm.n_hidden:
         raise ValueError(f"hidden vector has {h.shape[-1]} entries, want {rbm.n_hidden}")
-    pre = h @ rbm.weights.T + rbm.visible_bias
-    return sigmoid(pre) if rbm.visible_kind == BERNOULLI else pre
+    pre = h @ rbm.weights.T
+    pre += rbm.visible_bias
+    return _sigmoid_inplace(pre) if rbm.visible_kind == BERNOULLI else pre
 
 
 def free_energy(rbm: Rbm, v) -> float | np.ndarray:
@@ -223,65 +257,63 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(probs.shape) < probs).astype(np.float64)
 
 
-def cd_update(
-    rbm: Rbm,
-    batch,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    velocity: CdVelocity | None = None,
-) -> tuple[Rbm, float]:
-    """One CD-k parameter update on a minibatch.
+def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator) -> float:
+    """One CD-k parameter update on a minibatch, applied to ``state`` in place.
 
     Positive statistics come from (v0, hidden_probs(v0)). The chain draws
     hidden states as Bernoulli samples; visible reconstructions use
     probabilities for statistics and samples to continue the chain
     (Gaussian visibles use the mean throughout, with no sampling noise).
     The instantaneous step lr*((v0'p0 - vk'pk)/B - decay*W) accumulates into
-    the momentum buffer, which is updated in place when provided. Returns
-    the updated RBM and the mean squared error between v0 and the first
-    reconstruction.
+    the momentum buffers, which are then added to the parameters. Returns
+    the mean squared error between v0 and the first reconstruction.
     """
     v0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if v0.shape[0] == 0:
         raise ValueError("cd_update needs a nonempty batch")
-    if v0.shape[1] != rbm.n_visible:
-        raise ValueError(f"batch rows have {v0.shape[1]} entries, want {rbm.n_visible}")
+    if v0.shape[1] != state.n_visible:
+        raise ValueError(f"batch rows have {v0.shape[1]} entries, want {state.n_visible}")
     n = v0.shape[0]
     lr = (
         cfg.learning_rate_pretrain_gaussian
-        if rbm.visible_kind == GAUSSIAN
+        if state.visible_kind == GAUSSIAN
         else cfg.learning_rate_pretrain
     )
 
-    p0 = hidden_probs(rbm, v0)
+    p0 = hidden_probs(state, v0)
     h = _sample(p0, rng)
     v1 = None
     v_stat = None
     for step in range(cfg.cd_steps):
-        v_stat = visible_recon(rbm, h)
+        v_stat = visible_recon(state, h)
         if step == 0:
             v1 = v_stat
         if step + 1 < cfg.cd_steps:
-            v_chain = _sample(v_stat, rng) if rbm.visible_kind == BERNOULLI else v_stat
-            h = _sample(hidden_probs(rbm, v_chain), rng)
-    pk = hidden_probs(rbm, v_stat)
+            v_chain = _sample(v_stat, rng) if state.visible_kind == BERNOULLI else v_stat
+            h = _sample(hidden_probs(state, v_chain), rng)
+    pk = hidden_probs(state, v_stat)
 
-    if velocity is None:
-        velocity = CdVelocity.zeros_like(rbm)
-    velocity.weights *= cfg.momentum
-    velocity.weights += lr * ((v0.T @ p0 - v_stat.T @ pk) / n - cfg.weight_decay * rbm.weights)
-    velocity.visible_bias *= cfg.momentum
-    velocity.visible_bias += lr * (v0 - v_stat).mean(axis=0)
-    velocity.hidden_bias *= cfg.momentum
-    velocity.hidden_bias += lr * (p0 - pk).mean(axis=0)
+    # one operation at a time, in the order of the expression above, so the
+    # rounding is that of the plain expression
+    grad, scratch = state.grad, state.scratch
+    np.matmul(v0.T, p0, out=grad)
+    np.matmul(v_stat.T, pk, out=scratch)
+    grad -= scratch
+    grad /= n
+    np.multiply(state.weights, cfg.weight_decay, out=scratch)
+    grad -= scratch
+    grad *= lr
+    state.velocity_weights *= cfg.momentum
+    state.velocity_weights += grad
+    state.velocity_visible_bias *= cfg.momentum
+    state.velocity_visible_bias += lr * (v0 - v_stat).mean(axis=0)
+    state.velocity_hidden_bias *= cfg.momentum
+    state.velocity_hidden_bias += lr * (p0 - pk).mean(axis=0)
 
-    updated = replace(
-        rbm,
-        weights=rbm.weights + velocity.weights,
-        visible_bias=rbm.visible_bias + velocity.visible_bias,
-        hidden_bias=rbm.hidden_bias + velocity.hidden_bias,
-    )
-    return updated, float(np.mean(np.square(v0 - v1)))
+    state.weights += state.velocity_weights
+    state.visible_bias += state.velocity_visible_bias
+    state.hidden_bias += state.velocity_hidden_bias
+    return float(np.mean(np.square(v0 - v1)))
 
 
 def _init_rbm(n_visible: int, n_hidden: int, kind: str, rng: np.random.Generator) -> Rbm:
@@ -300,12 +332,15 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_rbm(rbm: Rbm, data: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> Rbm:
-    """Run epochs_pretrain epochs of CD over shuffled minibatches."""
-    velocity = CdVelocity.zeros_like(rbm)
+    """Run epochs_pretrain epochs of CD over shuffled minibatches.
+
+    Returns the trained RBM; ``rbm`` itself is not modified.
+    """
+    state = RbmState(rbm)
     for _ in range(cfg.epochs_pretrain):
         for idx in _minibatches(data.shape[0], cfg.batch_size, rng):
-            rbm, _ = cd_update(rbm, data[idx], cfg, rng, velocity)
-    return rbm
+            cd_update(state, data[idx], cfg, rng)
+    return state.freeze()
 
 
 def pretrain_dbn(
@@ -337,11 +372,11 @@ def pretrain_dbn(
     rbms: list[Rbm] = []
     activations = data
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
+        if rbms:
+            activations = hidden_probs(rbms[-1], activations)
         kind = GAUSSIAN if i == 0 else BERNOULLI
         rbm = _init_rbm(n_vis, n_hid, kind, rng)
-        rbm = train_rbm(rbm, activations, cfg, rng)
-        rbms.append(rbm)
-        activations = hidden_probs(rbm, activations)
+        rbms.append(train_rbm(rbm, activations, cfg, rng))
 
     mean = std = None
     if standardization is not None:
@@ -417,7 +452,8 @@ def _loss_and_grads(dbn: Dbn, x2d: np.ndarray, labels: np.ndarray):
     delta = d_logits @ dbn.softmax_weights.T
     for i in range(len(dbn.rbms) - 1, -1, -1):
         act = activations[i + 1]
-        dz = delta * act * (1.0 - act)
+        dz = delta * act
+        dz *= 1.0 - act
         d_layers.append((activations[i].T @ dz, dz.sum(axis=0)))
         if i:
             delta = dz @ dbn.rbms[i].weights.T
@@ -441,6 +477,7 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig = TrainConfig()) -> Dbn:
     if y.size and (y.min() < 0 or y.max() >= dbn.n_labels):
         raise ValueError(f"labels must lie in [0, {dbn.n_labels - 1}]")
 
+    # the working copy whose arrays the loop below updates in place
     tuned = Dbn(
         rbms=[replace(r, weights=r.weights.copy(), visible_bias=r.visible_bias.copy(),
                       hidden_bias=r.hidden_bias.copy()) for r in dbn.rbms],
@@ -457,24 +494,18 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig = TrainConfig()) -> Dbn:
     for _ in range(cfg.epochs_finetune):
         for idx in _minibatches(x.shape[0], cfg.batch_size, rng):
             _, d_layers, d_head = _loss_and_grads(tuned, x[idx], y[idx])
+            steps = [(tuned.softmax_weights, vel_head[0], d_head[0]),
+                     (tuned.softmax_bias, vel_head[1], d_head[1])]
             if not cfg.finetune_head_only:
-                for i, rbm in enumerate(tuned.rbms):
-                    vw, vc = vel_layers[i]
-                    vw *= cfg.momentum
-                    vw -= lr * d_layers[i][0]
-                    vc *= cfg.momentum
-                    vc -= lr * d_layers[i][1]
-                    tuned.rbms[i] = replace(
-                        rbm, weights=rbm.weights + vw, hidden_bias=rbm.hidden_bias + vc
-                    )
-            vw, vb = vel_head
-            vw *= cfg.momentum
-            vw -= lr * d_head[0]
-            vb *= cfg.momentum
-            vb -= lr * d_head[1]
-            tuned.softmax_weights = tuned.softmax_weights + vw
-            tuned.softmax_bias = tuned.softmax_bias + vb
-    return tuned
+                for rbm, (vw, vc), (dw, dc) in zip(tuned.rbms, vel_layers, d_layers):
+                    steps += [(rbm.weights, vw, dw), (rbm.hidden_bias, vc, dc)]
+            for param, velocity, grad in steps:
+                velocity *= cfg.momentum
+                grad *= lr
+                velocity -= grad
+                param += velocity
+    # rebuilding each Rbm re-checks that training left the weights finite
+    return replace(tuned, rbms=[replace(r) for r in tuned.rbms])
 
 
 def _pack_f64(arr: np.ndarray) -> bytes:

@@ -6,8 +6,10 @@ reports the clean-vs-noisy accuracy difference per condition. Utterance
 labels come from majority vote over segment predictions; segment-level
 accuracy is reported alongside.
 
-The stages hand over three files in the work directory: manifest.csv,
-model.dbn and report.csv, each replaced atomically. MFCC features are
+The stages hand over files in the work directory: manifest.csv, model.dbn
+with its model.key and report.csv, each replaced atomically. model.key
+holds a hash of the config fields training read, and evaluation refuses a
+model whose key does not match the current config. MFCC features are
 recomputed from the WAVs by whichever stage needs them, so they always
 follow the current config.
 """
@@ -15,10 +17,12 @@ follow the current config.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -396,6 +400,10 @@ def model_path(config: RunConfig) -> Path:
     return _work_dir(config) / "model.dbn"
 
 
+def model_key_path(config: RunConfig) -> Path:
+    return _work_dir(config) / "model.key"
+
+
 def report_path(config: RunConfig) -> Path:
     return _work_dir(config) / "report.csv"
 
@@ -446,6 +454,27 @@ def _training_set(config: RunConfig, train_entries, noises=None):
     return np.vstack(blocks), np.asarray(labels, dtype=np.int64)
 
 
+def _training_key(config: RunConfig, noise_categories=None) -> str:
+    """sha256 of every config field that train_model reads.
+
+    ``noise_categories`` are the resolved categories; they and the SNRs
+    count only when training on noisy speech.
+    """
+    fields = {
+        "mfcc": asdict(config.mfcc),
+        "segment": asdict(config.segment),
+        "sample_rate_hz": config.sample_rate_hz,
+        "hidden_sizes": list(config.hidden_sizes),
+        "train": asdict(replace(config.train, seed=config.seed)),
+        "seed": config.seed,
+        "train_on_noisy": config.train_on_noisy,
+    }
+    if config.train_on_noisy:
+        fields["noise_categories"] = list(noise_categories)
+        fields["snrs_db"] = list(config.snrs_db)
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
 def train_model(config: RunConfig, progress=None) -> Path:
     """Fit standardization, pretrain the RBM stack, fine-tune, save the model."""
     log = progress or (lambda msg: None)
@@ -453,9 +482,10 @@ def train_model(config: RunConfig, progress=None) -> Path:
     train_entries = [e for e in manifest if e.split == "train"]
     if not train_entries:
         raise ValueError("manifest has no training utterances")
-    noises = None
+    noises = categories = None
     if config.train_on_noisy:
-        noises = {c: load_noise(config, c) for c in resolve_noise_categories(config)}
+        categories = resolve_noise_categories(config)
+        noises = {c: load_noise(config, c) for c in categories}
 
     features, labels = _training_set(config, train_entries, noises)
     log(f"training set: {features.shape[0]} segment vectors from {len(train_entries)} utterances")
@@ -473,7 +503,13 @@ def train_model(config: RunConfig, progress=None) -> Path:
     log(f"fine-tuning for {train_cfg.epochs_finetune} epochs")
     model = fine_tune(model, features, labels, train_cfg)
     path = model_path(config)
+    # the old key goes first, so no failure in between leaves a key that
+    # vouches for a model it was not written with
+    key_path = model_key_path(config)
+    key_path.unlink(missing_ok=True)
     save_model(model, path)
+    with atomic_open(key_path, "w") as fh:
+        fh.write(_training_key(config, categories) + "\n")
     log(f"model -> {path}")
     return path
 
@@ -497,6 +533,14 @@ def evaluate_experiment(config: RunConfig, progress=None) -> Path:
     model_file = model_path(config)
     if not model_file.exists():
         raise ValueError(f"model file {model_file} not found; run the train stage first")
+    key_file = model_key_path(config)
+    if not key_file.exists():
+        raise ValueError(f"{key_file} not found, so {model_file} cannot be matched to "
+                         "the config; run the train stage again")
+    if key_file.read_text().strip() != _training_key(config, categories):
+        raise ValueError(f"{model_file} was trained under a different config (mfcc, segment, "
+                         "sample rate, hidden sizes, training or noise settings); "
+                         "run the train stage again")
     model = load_model(model_file)
 
     clips = {e.path: _load_clip(config, e.path) for e in test_entries}

@@ -85,3 +85,133 @@ def central_difference(fn, array, epsilon=1e-5):
         grad[ix] = (hi - lo) / (2.0 * epsilon)
         it.iternext()
     return grad
+
+
+def reference_sigmoid(x):
+    """Two-branch logistic: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        from_pos = 1.0 / (1.0 + np.exp(-x))
+        ex = np.exp(x)
+        from_neg = ex / (1.0 + ex)
+    return np.where(x >= 0, from_pos, from_neg)
+
+
+def reference_cd_update(params, velocity, gaussian, batch, cfg, rng):
+    """One CD-k step that allocates every intermediate and returns new arrays.
+
+    ``params`` is (W, visible bias, hidden bias); ``velocity`` is the same
+    triple of momentum buffers, updated in place. Returns the new params and
+    the mean squared error of the first reconstruction.
+    """
+    w, b, c = params
+    v0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    n = v0.shape[0]
+    lr = cfg.learning_rate_pretrain_gaussian if gaussian else cfg.learning_rate_pretrain
+
+    def up(v):
+        return reference_sigmoid(v @ w + c)
+
+    def down(h):
+        pre = h @ w.T + b
+        return pre if gaussian else reference_sigmoid(pre)
+
+    def sample(p):
+        return (rng.random(p.shape) < p).astype(np.float64)
+
+    p0 = up(v0)
+    h = sample(p0)
+    for step in range(cfg.cd_steps):
+        v_stat = down(h)
+        if step == 0:
+            v1 = v_stat
+        if step + 1 < cfg.cd_steps:
+            h = sample(up(v_stat if gaussian else sample(v_stat)))
+    pk = up(v_stat)
+
+    vw, vb, vc = velocity
+    vw *= cfg.momentum
+    vw += lr * ((v0.T @ p0 - v_stat.T @ pk) / n - cfg.weight_decay * w)
+    vb *= cfg.momentum
+    vb += lr * (v0 - v_stat).mean(axis=0)
+    vc *= cfg.momentum
+    vc += lr * (p0 - pk).mean(axis=0)
+    return (w + vw, b + vb, c + vc), float(np.mean(np.square(v0 - v1)))
+
+
+def _reference_batches(n, batch_size, rng):
+    order = rng.permutation(n)
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+def reference_train_rbm(params, gaussian, data, cfg, rng):
+    """epochs_pretrain epochs of reference_cd_update over shuffled minibatches."""
+    velocity = tuple(np.zeros_like(p) for p in params)
+    for _ in range(cfg.epochs_pretrain):
+        for idx in _reference_batches(data.shape[0], cfg.batch_size, rng):
+            params, _ = reference_cd_update(params, velocity, gaussian, data[idx], cfg, rng)
+    return params
+
+
+def reference_finetune_grads(layers, head, mean, std, x, labels):
+    """Mean cross-entropy gradients of the unrolled sigmoid net and softmax head.
+
+    ``layers`` is a list of (W, hidden bias); ``head`` is (W, bias). Returns
+    ([(dW, dc), ...], (dW_head, db_head)).
+    """
+    activations = [(x - mean) / std]
+    for w, c in layers:
+        activations.append(reference_sigmoid(activations[-1] @ w + c))
+    logits = activations[-1] @ head[0] + head[1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    n = x.shape[0]
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits /= n
+
+    d_head = (activations[-1].T @ d_logits, d_logits.sum(axis=0))
+    d_layers = []
+    delta = d_logits @ head[0].T
+    for i in range(len(layers) - 1, -1, -1):
+        act = activations[i + 1]
+        dz = delta * act * (1.0 - act)
+        d_layers.append((activations[i].T @ dz, dz.sum(axis=0)))
+        if i:
+            delta = dz @ layers[i][0].T
+    d_layers.reverse()
+    return d_layers, d_head
+
+
+def reference_fine_tune(layers, head, mean, std, x, labels, cfg):
+    """Momentum SGD on reference_finetune_grads, new arrays at every step.
+
+    Returns (layers, head) after epochs_finetune epochs; with
+    ``cfg.finetune_head_only`` the layers come back unchanged.
+    """
+    layers = list(layers)
+    vel_layers = [(np.zeros_like(w), np.zeros_like(c)) for w, c in layers]
+    vel_head = (np.zeros_like(head[0]), np.zeros_like(head[1]))
+    rng = np.random.default_rng(cfg.seed)
+    lr = cfg.learning_rate_finetune
+    for _ in range(cfg.epochs_finetune):
+        for idx in _reference_batches(x.shape[0], cfg.batch_size, rng):
+            d_layers, d_head = reference_finetune_grads(
+                layers, head, mean, std, x[idx], labels[idx]
+            )
+            if not cfg.finetune_head_only:
+                for i, ((w, c), (vw, vc), (dw, dc)) in enumerate(
+                    zip(layers, vel_layers, d_layers)
+                ):
+                    vw *= cfg.momentum
+                    vw -= lr * dw
+                    vc *= cfg.momentum
+                    vc -= lr * dc
+                    layers[i] = (w + vw, c + vc)
+            vw, vb = vel_head
+            vw *= cfg.momentum
+            vw -= lr * d_head[0]
+            vb *= cfg.momentum
+            vb -= lr * d_head[1]
+            head = (head[0] + vw, head[1] + vb)
+    return layers, head

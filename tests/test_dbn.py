@@ -1,3 +1,5 @@
+import inspect
+import math
 import os
 
 import numpy as np
@@ -11,14 +13,19 @@ from _oracles import (
     rbm_loglik_grad,
     rbm_partition,
     rbm_visible_marginals,
+    reference_cd_update,
+    reference_fine_tune,
+    reference_sigmoid,
+    reference_train_rbm,
 )
+from emonoise import dbn as dbn_module
 from emonoise.dbn import (
     BERNOULLI,
     GAUSSIAN,
-    CdVelocity,
     Dbn,
     ModelFormatError,
     Rbm,
+    RbmState,
     TrainConfig,
     _loss_and_grads,
     cd_update,
@@ -31,6 +38,7 @@ from emonoise.dbn import (
     pretrain_dbn,
     save_model,
     sigmoid,
+    train_rbm,
     visible_recon,
 )
 
@@ -69,6 +77,22 @@ class TestHiddenProbs:
     def test_batch_shape(self):
         out = hidden_probs(zero_rbm(3, 4), np.zeros((5, 3)))
         assert out.shape == (5, 4)
+
+    def test_sigmoid_matches_two_branch_reference_at_extremes(self):
+        tiny = 5e-324  # the smallest subnormal
+        magnitudes = [0.0, tiny, 709.78, 710.0, 745.0, 746.0, 1e308, np.inf]
+        x = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
+        x = np.concatenate([x, np.random.default_rng(0).standard_normal(1000) * 40.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(x)
+        np.testing.assert_array_equal(got, reference_sigmoid(x))
+        for value in x[:16]:
+            assert sigmoid(value) == reference_sigmoid(value)
+
+    def test_sigmoid_leaves_its_input_alone(self):
+        x = np.array([-3.0, 0.0, 2.0])
+        sigmoid(x)
+        np.testing.assert_array_equal(x, [-3.0, 0.0, 2.0])
 
 
 class TestVisibleRecon:
@@ -122,48 +146,53 @@ class TestFreeEnergy:
             free_energy(zero_rbm(3, 4), np.ones(4))
 
 
+def rbm_params(rbm):
+    return rbm.weights, rbm.visible_bias, rbm.hidden_bias
+
+
+def assert_params_equal(rbm, params):
+    for got, want in zip(rbm_params(rbm), params):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestCdUpdate:
     def test_zero_learning_rate_changes_nothing(self):
         rbm = random_rbm(4, 3, seed=1)
         cfg = TrainConfig(learning_rate_pretrain=0.0, learning_rate_pretrain_gaussian=0.0,
                           weight_decay=0.0)
-        velocity = CdVelocity.zeros_like(rbm)
-        updated, _ = cd_update(rbm, binary_states(4)[:5], cfg, np.random.default_rng(0), velocity)
-        np.testing.assert_array_equal(updated.weights, rbm.weights)
-        np.testing.assert_array_equal(updated.visible_bias, rbm.visible_bias)
-        np.testing.assert_array_equal(updated.hidden_bias, rbm.hidden_bias)
-        assert not velocity.weights.any() and not velocity.hidden_bias.any()
+        state = RbmState(rbm)
+        cd_update(state, binary_states(4)[:5], cfg, np.random.default_rng(0))
+        assert_params_equal(state.freeze(), rbm_params(rbm))
+        assert not state.velocity_weights.any() and not state.velocity_hidden_bias.any()
 
     def test_repeated_call_is_bit_identical(self):
         rbm = random_rbm(4, 3, seed=2)
         batch = binary_states(4)[3:9]
         cfg = TrainConfig(seed=7)
-        a, ea = cd_update(rbm, batch, cfg, np.random.default_rng(7))
-        b, eb = cd_update(rbm, batch, cfg, np.random.default_rng(7))
+        a, b = RbmState(rbm), RbmState(rbm)
+        ea = cd_update(a, batch, cfg, np.random.default_rng(7))
+        eb = cd_update(b, batch, cfg, np.random.default_rng(7))
         assert ea == eb
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.visible_bias, b.visible_bias)
-        np.testing.assert_array_equal(a.hidden_bias, b.hidden_bias)
+        assert_params_equal(a.freeze(), rbm_params(b))
 
     def test_reconstruction_error_decreases_on_repeated_pattern(self):
         rbm = random_rbm(3, 2, seed=11, scale=0.1)
         pattern = np.tile([1.0, 0.0, 1.0], (8, 1))
         cfg = TrainConfig(learning_rate_pretrain=0.2, momentum=0.5, weight_decay=0.0)
         rng = np.random.default_rng(13)
-        velocity = CdVelocity.zeros_like(rbm)
-        errors = []
-        for _ in range(50):
-            rbm, err = cd_update(rbm, pattern, cfg, rng, velocity)
-            errors.append(err)
+        state = RbmState(rbm)
+        errors = [cd_update(state, pattern, cfg, rng) for _ in range(50)]
         assert np.mean(errors[-10:]) < np.mean(errors[:10])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            cd_update(zero_rbm(3, 2), np.empty((0, 3)), TrainConfig(), np.random.default_rng(0))
+            cd_update(RbmState(zero_rbm(3, 2)), np.empty((0, 3)), TrainConfig(),
+                      np.random.default_rng(0))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cd_update(zero_rbm(3, 2), np.zeros((4, 5)), TrainConfig(), np.random.default_rng(0))
+            cd_update(RbmState(zero_rbm(3, 2)), np.zeros((4, 5)), TrainConfig(),
+                      np.random.default_rng(0))
 
     def test_cd1_direction_correlates_with_exact_gradient(self):
         # expected CD-1 step (lr 1, no momentum/decay) vs the enumerated
@@ -176,10 +205,11 @@ class TestCdUpdate:
         acc_c = np.zeros_like(rbm.hidden_bias)
         n_chains = 10_000
         for i in range(n_chains):
-            updated, _ = cd_update(rbm, data, cfg, np.random.default_rng(1000 + i))
-            acc_w += updated.weights - rbm.weights
-            acc_b += updated.visible_bias - rbm.visible_bias
-            acc_c += updated.hidden_bias - rbm.hidden_bias
+            state = RbmState(rbm)
+            cd_update(state, data, cfg, np.random.default_rng(1000 + i))
+            acc_w += state.weights - rbm.weights
+            acc_b += state.visible_bias - rbm.visible_bias
+            acc_c += state.hidden_bias - rbm.hidden_bias
         grad_w, grad_b, grad_c = rbm_loglik_grad(
             rbm.weights, rbm.visible_bias, rbm.hidden_bias, data
         )
@@ -190,6 +220,64 @@ class TestCdUpdate:
             + np.vdot(acc_c / n_chains, grad_c)
         )
         assert inner > 0.0
+
+    @pytest.mark.parametrize("kind", [GAUSSIAN, BERNOULLI])
+    @pytest.mark.parametrize("cd_steps", [1, 2])
+    def test_matches_allocating_reference(self, kind, cd_steps):
+        rbm = random_rbm(6, 5, kind=kind, seed=31, scale=0.4)
+        rng = np.random.default_rng(32)
+        data = rng.random((9, 6)) if kind == BERNOULLI else rng.standard_normal((9, 6))
+        cfg = TrainConfig(cd_steps=cd_steps, learning_rate_pretrain=0.3,
+                          learning_rate_pretrain_gaussian=0.05)
+        state = RbmState(rbm)
+        params = rbm_params(rbm)
+        velocity = tuple(np.zeros_like(p) for p in params)
+        rng_new, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
+        for step in range(4):
+            batch = data[2 * step : 2 * step + 3]
+            err = cd_update(state, batch, cfg, rng_new)
+            params, want_err = reference_cd_update(
+                params, velocity, kind == GAUSSIAN, batch, cfg, rng_ref
+            )
+            assert err == want_err
+            assert_params_equal(state, params)
+            for got, want in zip((state.velocity_weights, state.velocity_visible_bias,
+                                  state.velocity_hidden_bias), velocity):
+                np.testing.assert_array_equal(got, want)
+
+
+class TestTrainRbm:
+    @pytest.mark.parametrize("kind", [GAUSSIAN, BERNOULLI])
+    def test_ragged_last_minibatch_matches_reference(self, kind):
+        rbm = random_rbm(5, 7, kind=kind, seed=41, scale=0.3)
+        data = np.random.default_rng(42).random((10, 5))
+        cfg = TrainConfig(epochs_pretrain=3, batch_size=4, cd_steps=2)
+        before = [p.copy() for p in rbm_params(rbm)]
+        trained = train_rbm(rbm, data, cfg, np.random.default_rng(43))
+        want = reference_train_rbm(rbm_params(rbm), kind == GAUSSIAN, data, cfg,
+                                   np.random.default_rng(43))
+        assert isinstance(trained, Rbm) and trained.visible_kind == kind
+        assert_params_equal(trained, want)
+        assert_params_equal(rbm, before)
+
+    def test_calls_module_cd_update_once_per_minibatch(self, monkeypatch):
+        # perfbench/tracing.py times CD steps by wrapping the module-global name
+        calls = []
+        real = dbn_module.cd_update
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dbn_module, "cd_update", counting)
+        n, cfg = 10, TrainConfig(epochs_pretrain=3, batch_size=4)
+        train_rbm(random_rbm(5, 3), np.zeros((n, 5)), cfg, np.random.default_rng(0))
+        assert len(calls) == cfg.epochs_pretrain * math.ceil(n / cfg.batch_size)
+        assert calls == [4, 4, 2] * cfg.epochs_pretrain
+
+    def test_signatures_the_tracer_reads(self):
+        assert list(inspect.signature(train_rbm).parameters) == ["rbm", "data", "cfg", "rng"]
+        assert list(inspect.signature(fine_tune).parameters) == ["dbn", "data", "labels", "cfg"]
 
 
 def small_dbn(seed=5, n_in=4, hidden=(3, 3, 3), n_labels=7, scale=0.6):
@@ -359,6 +447,33 @@ class TestFineTune:
             np.testing.assert_array_equal(before.weights, after.weights)
             np.testing.assert_array_equal(before.hidden_bias, after.hidden_bias)
         assert not np.array_equal(model.softmax_weights, tuned.softmax_weights)
+
+    @pytest.mark.parametrize("head_only", [False, True])
+    def test_matches_allocating_reference(self, head_only):
+        model = small_dbn(seed=24, scale=0.5)
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((23, 4))
+        y = rng.integers(0, 7, size=23)
+        def params(m):
+            return [p for r in m.rbms for p in rbm_params(r)] + [m.softmax_weights, m.softmax_bias]
+
+        before = [p.copy() for p in params(model)]
+        cfg = TrainConfig(epochs_finetune=4, batch_size=8, seed=26,
+                          learning_rate_finetune=0.5, finetune_head_only=head_only)
+        tuned = fine_tune(model, x, y, cfg)
+        layers, head = reference_fine_tune(
+            [(r.weights, r.hidden_bias) for r in model.rbms],
+            (model.softmax_weights, model.softmax_bias),
+            model.input_mean, model.input_std, x, y, cfg,
+        )
+        assert isinstance(tuned, Dbn)
+        for rbm, (w, c) in zip(tuned.rbms, layers):
+            np.testing.assert_array_equal(rbm.weights, w)
+            np.testing.assert_array_equal(rbm.hidden_bias, c)
+        np.testing.assert_array_equal(tuned.softmax_weights, head[0])
+        np.testing.assert_array_equal(tuned.softmax_bias, head[1])
+        for a, b in zip(before, params(model)):
+            np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_result(self):
         model = small_dbn(seed=22)

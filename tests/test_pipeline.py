@@ -1,4 +1,5 @@
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from emonoise.audio import AudioClip, MixSpec, mix_at_snr, read_wav, write_wav
 from emonoise.config import RunConfig
 from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
+from conftest import build_tone_corpus
 from emonoise.pipeline import (
     EvalReport,
     Label,
@@ -20,6 +22,7 @@ from emonoise.pipeline import (
     emodb_label_rule,
     emodb_speaker_rule,
     evaluate,
+    evaluate_experiment,
     fit_standardization,
     majority_vote,
     noise_offset_for,
@@ -442,3 +445,54 @@ class TestExperimentStages:
         manifest = read_manifest(work / "manifest.csv")
         assert len(manifest) == 70
         assert sum(e.split == "test" for e in manifest) == 14
+
+    def test_model_trained_under_another_config_is_refused(self, tmp_path, tone_corpus):
+        clean_dir, noise_dir = tone_corpus
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0,), hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        train_model(config)
+        # settings training never reads leave the model usable
+        evaluate_experiment(replace(config, snrs_db=(5.0, 10.0), delta_mode="absolute"))
+        for stale in (
+            replace(config, mfcc=replace(config.mfcc, hop=80)),
+            replace(config, mfcc=replace(config.mfcc, fmax_hz=4000.0)),
+            replace(config, hidden_sizes=(64, 64)),
+            replace(config, seed=config.seed + 1),
+        ):
+            with pytest.raises(ValueError, match="run the train stage"):
+                evaluate_experiment(stale)
+
+    def test_model_without_key_is_refused(self, tmp_path, tone_corpus):
+        clean_dir, noise_dir = tone_corpus
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0,), hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        model_bytes = train_model(config).read_bytes()
+        (tmp_path / "work" / "model.key").unlink()
+        with pytest.raises(ValueError, match="model.key not found.*run the train stage"):
+            evaluate_experiment(config)
+        # the key is a separate file: model.dbn holds the parameters alone
+        assert train_model(config).read_bytes() == model_bytes
+
+
+class TestLearning:
+    def test_clean_accuracy_well_above_chance(self, tmp_path):
+        # the noise-sweep benchmark settings; with 20 speakers the same
+        # settings stay at chance (1/7)
+        clean_dir, noise_dir = build_tone_corpus(tmp_path / "corpus", n_speakers=40, duration=1.0)
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0,), hidden_sizes=(256, 256, 512),
+            train=TrainConfig(
+                epochs_pretrain=5, epochs_finetune=10, learning_rate_pretrain_gaussian=0.01,
+                learning_rate_pretrain=0.1, learning_rate_finetune=0.1,
+            ),
+        )
+        rows = read_report(run_experiment(config))
+        assert rows[0]["condition"] == "clean"
+        assert float(rows[0]["utterance_accuracy"]) >= 0.5
