@@ -53,14 +53,12 @@ class AudioClip:
 class MixSpec:
     """How to corrupt one clean clip: target SNR plus the noise window choice.
 
-    ``noise_offset`` indexes into the noise recording (wrapping around if the
-    noise is shorter than the clean clip); ``seed`` records the value that
-    drove the offset choice when it was randomized, for provenance.
+    ``noise_offset`` indexes into the noise recording, wrapping around if the
+    noise is shorter than the clean clip.
     """
 
     snr_db: float
     noise_offset: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.snr_db):

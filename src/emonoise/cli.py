@@ -3,7 +3,12 @@
 The stages are ``prepare`` (manifest.csv), ``train`` (model.dbn and
 model.key) and ``evaluate`` (report.csv); ``run`` chains them and ``report``
 checks the result. Features are computed from the WAVs inside each stage
-that needs them and are never cached on disk.
+that needs them and are never cached on disk; only ``prepare`` creates the
+work directory, and ``train`` and ``evaluate`` run it when the manifest is
+missing.
+
+Each setting flag stands for one config-file key, and its text is converted
+by ``config.apply_settings`` exactly as that key's value in a file would be.
 
 Exit codes: 0 success, 1 domain error (bad paths, malformed data), 2 usage
 error. Progress goes to stderr; only ``report --print`` writes to stdout.
@@ -16,7 +21,7 @@ import os
 import sys
 
 from . import pipeline
-from .config import DELTA_MODES, SPLIT_STRATEGIES, ConfigError, RunConfig, load_config
+from .config import DELTA_MODES, SPLIT_STRATEGIES, ConfigError, RunConfig, apply_settings, load_config
 
 _STAGES = {
     "prepare": "build the corpus manifest and train/test split",
@@ -27,24 +32,32 @@ _STAGES = {
 }
 
 
+# flag -> (config section, key, metavar, help)
+_SETTING_FLAGS = {
+    "--clean-dir": ("pipeline", "clean_dir", "DIR", "directory of clean speech WAVs"),
+    "--noise-dir": ("pipeline", "noise_dir", "DIR", "directory of noise category subdirectories"),
+    "--work-dir": ("pipeline", "work_dir", "DIR",
+                   "output directory (default: $EMONOISE_WORKDIR or .)"),
+    "--seed": ("pipeline", "seed", None, "master seed for split, training, and mixing"),
+    "--snrs": ("audio", "snrs_db", "DB[,DB...]", "mixing SNRs in dB"),
+    "--categories": ("pipeline", "noise_categories", "NAME[,NAME...]",
+                     "noise categories (default: all subdirectories)"),
+    "--split-strategy": ("pipeline", "split_strategy", "{" + ",".join(SPLIT_STRATEGIES) + "}",
+                         None),
+    "--test-fraction": ("pipeline", "test_fraction", None, None),
+    "--delta-mode": ("pipeline", "delta_mode", "{" + ",".join(DELTA_MODES) + "}", None),
+    "--sample-rate": ("pipeline", "sample_rate_hz", None, "pipeline sample rate in Hz"),
+    "--epochs-pretrain": ("dbn", "epochs_pretrain", None, None),
+    "--epochs-finetune": ("dbn", "epochs_finetune", None, None),
+    "--hidden-sizes": ("dbn", "hidden_sizes", "N[,N...]", "hidden layer widths"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file to load before flag overrides")
-    common.add_argument("--clean-dir", metavar="DIR", help="directory of clean speech WAVs")
-    common.add_argument("--noise-dir", metavar="DIR", help="directory of noise category subdirectories")
-    common.add_argument("--work-dir", metavar="DIR",
-                        help="output directory (default: $EMONOISE_WORKDIR or .)")
-    common.add_argument("--seed", type=int, help="master seed for split, training, and mixing")
-    common.add_argument("--snrs", metavar="DB[,DB...]", help="mixing SNRs in dB")
-    common.add_argument("--categories", metavar="NAME[,NAME...]",
-                        help="noise categories (default: all subdirectories)")
-    common.add_argument("--split-strategy", choices=SPLIT_STRATEGIES)
-    common.add_argument("--test-fraction", type=float)
-    common.add_argument("--delta-mode", choices=DELTA_MODES)
-    common.add_argument("--sample-rate", type=int, help="pipeline sample rate in Hz")
-    common.add_argument("--epochs-pretrain", type=int)
-    common.add_argument("--epochs-finetune", type=int)
-    common.add_argument("--hidden-sizes", metavar="N[,N...]", help="hidden layer widths")
+    for flag, (_, _, metavar, blurb) in _SETTING_FLAGS.items():
+        common.add_argument(flag, metavar=metavar, help=blurb)
 
     parser = argparse.ArgumentParser(
         prog="emonoise",
@@ -60,38 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    from dataclasses import replace
-
-    updates = {}
-    for flag, field in [
-        ("clean_dir", "clean_dir"),
-        ("noise_dir", "noise_dir"),
-        ("work_dir", "work_dir"),
-        ("seed", "seed"),
-        ("split_strategy", "split_strategy"),
-        ("test_fraction", "test_fraction"),
-        ("delta_mode", "delta_mode"),
-        ("sample_rate", "sample_rate_hz"),
-    ]:
-        value = getattr(args, flag)
-        if value is not None:
-            updates[field] = value
-    if args.snrs is not None:
-        updates["snrs_db"] = tuple(float(t) for t in args.snrs.split(",") if t.strip())
-    if args.categories is not None:
-        updates["noise_categories"] = tuple(t.strip() for t in args.categories.split(",") if t.strip())
-    if args.hidden_sizes is not None:
-        updates["hidden_sizes"] = tuple(int(t) for t in args.hidden_sizes.split(",") if t.strip())
-
-    train = config.train
-    train_updates = {}
-    if args.epochs_pretrain is not None:
-        train_updates["epochs_pretrain"] = args.epochs_pretrain
-    if args.epochs_finetune is not None:
-        train_updates["epochs_finetune"] = args.epochs_finetune
-    if train_updates:
-        train = replace(train, **train_updates)
-    return replace(config, train=train, **updates)
+    settings: dict[str, dict[str, str]] = {}
+    for flag, (section, key, _, _) in _SETTING_FLAGS.items():
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is not None:
+            settings.setdefault(section, {})[key] = text
+    return apply_settings(config, settings, "command line")
 
 
 def parse_args(argv=None) -> tuple[argparse.Namespace, RunConfig]:

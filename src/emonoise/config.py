@@ -132,29 +132,24 @@ class ConfigError(ValueError):
     """Config file cannot be parsed or names an unknown key."""
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    """Parse a config file into a RunConfig on top of ``base`` (or defaults)."""
-    base = base or RunConfig()
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file: {exc}") from exc
+def apply_settings(base: RunConfig, settings, source: str) -> RunConfig:
+    """Apply ``{section: {key: text}}`` to ``base`` through the ``_SCHEMA`` converters.
 
+    ``source`` names where the text came from in error messages.
+    """
     top: dict = {}
     nested: dict[str, dict] = {"mfcc": {}, "segment": {}, "train": {}}
-    for section in parser.sections():
+    for section, items in settings.items():
         if section not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown config section [{section}]")
-        for key, raw in parser.items(section):
+            raise ConfigError(f"{source}: unknown config section [{section}]")
+        for key, raw in items.items():
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+                raise ConfigError(f"{source}: unknown key {key!r} in section [{section}]")
             target, convert = _SCHEMA[section][key]
             try:
                 value = convert(raw)
             except ValueError as exc:
-                raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
+                raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
             if "." in target:
                 block, name = target.split(".")
                 nested[block][name] = value
@@ -168,6 +163,18 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
         segment=replace(base.segment, **nested["segment"]),
         train=replace(base.train, **nested["train"]),
     )
+
+
+def load_config(path, base: RunConfig | None = None) -> RunConfig:
+    """Parse a config file into a RunConfig on top of ``base`` (or defaults)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {exc}") from exc
+    settings = {section: dict(parser.items(section)) for section in parser.sections()}
+    return apply_settings(base or RunConfig(), settings, str(path))
 
 
 def _format_value(value) -> str:

@@ -6,12 +6,14 @@ reports the clean-vs-noisy accuracy difference per condition. Utterance
 labels come from majority vote over segment predictions; segment-level
 accuracy is reported alongside.
 
-The stages hand over files in the work directory: manifest.csv, model.dbn
-with its model.key and report.csv, each replaced atomically. model.key
-holds a hash of the config fields training read, and evaluation refuses a
-model whose key does not match the current config. MFCC features are
-recomputed from the WAVs by whichever stage needs them, so they always
-follow the current config.
+The stages hand over files in the work directory, which only prepare
+creates: manifest.csv, model.dbn with its model.key and report.csv, each
+replaced atomically. model.key holds a hash of the training split and the
+config fields training read, and evaluation refuses a model whose key does
+not match the current manifest and config. Training and evaluation turn an
+utterance into segment vectors through one function, ``_segments``, which
+mixes in the condition's noise, if any, and computes MFCC segment means
+from the WAV under the current config; features are never cached.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ._files import atomic_open
 from .audio import AudioClip, MixSpec, mix_at_snr, read_wav, resample
 from .config import RunConfig
 from .dbn import N_LABELS, Dbn, fine_tune, forward, load_model, pretrain_dbn, save_model
-from .dsp import MfccConfig, SegmentConfig, mfcc, segment_features
+from .dsp import mfcc, segment_features
 
 
 class Label(IntEnum):
@@ -250,25 +252,35 @@ def noise_offset_for(seed: int, utterance_name: str, noise_len: int) -> int:
     return zlib.crc32(f"{seed}:{utterance_name}".encode()) % noise_len
 
 
+def _segments(config: RunConfig, clip: AudioClip, name: str, noise: AudioClip | None = None,
+              snr_db: float | None = None) -> np.ndarray:
+    """Segment vectors of one utterance, mixed with ``noise`` at ``snr_db`` first if given.
+
+    The noise window is keyed by the seed and the utterance ``name``, so
+    scores do not depend on utterance order.
+    """
+    if noise is not None:
+        spec = MixSpec(snr_db, noise_offset_for(config.seed, name, len(noise)))
+        clip = mix_at_snr(clip, noise, spec)
+    return segment_features(mfcc(clip, config.mfcc), config.segment)
+
+
 def evaluate(
     model: Dbn,
     entries,
-    mfcc_cfg: MfccConfig = MfccConfig(),
-    seg_cfg: SegmentConfig = SegmentConfig(),
+    clips: dict[str, AudioClip],
+    config: RunConfig,
     *,
     condition: str = CLEAN_CONDITION,
+    noise: AudioClip | None = None,
     snr_db: float | None = None,
-    transform=None,
     clean_accuracy: float | None = None,
-    delta_mode: str = "relative",
-    sample_rate_hz: int | None = None,
-    clips: dict[str, AudioClip] | None = None,
 ) -> EvalReport:
     """Score a test split under one condition.
 
-    ``transform(clip, entry)`` corrupts each utterance (None = identity,
-    i.e. the clean condition). When ``clean_accuracy`` is None this run is
-    itself the baseline. ``clips`` may hold preloaded audio keyed by path.
+    ``clips`` holds each entry's audio at the pipeline rate, keyed by path.
+    With ``noise``, every utterance is mixed with it at ``snr_db``. When
+    ``clean_accuracy`` is None this run is itself the baseline.
     """
     entries = list(entries)
     if not entries:
@@ -277,15 +289,7 @@ def evaluate(
     seg_hits = 0
     seg_total = 0
     for entry in entries:
-        if clips is not None and entry.path in clips:
-            clip = clips[entry.path]
-        else:
-            clip = read_wav(entry.path)
-            if sample_rate_hz is not None:
-                clip = resample(clip, sample_rate_hz)
-        if transform is not None:
-            clip = transform(clip, entry)
-        segments = segment_features(mfcc(clip, mfcc_cfg), seg_cfg)
+        segments = _segments(config, clips[entry.path], Path(entry.path).name, noise, snr_db)
         preds = np.argmax(forward(model, segments), axis=-1)
         seg_hits += int(np.sum(preds == int(entry.label)))
         seg_total += preds.size
@@ -297,12 +301,10 @@ def evaluate(
     baseline = utterance_acc if clean_accuracy is None else clean_accuracy
     if clean_accuracy is None:
         delta = 0.0  # this run is the baseline; its delta is zero by definition
-    elif delta_mode == "relative":
+    elif config.delta_mode == "relative":
         delta = accuracy_delta(baseline, utterance_acc)
-    elif delta_mode == "absolute":
-        delta = 100.0 * (baseline - utterance_acc)
     else:
-        raise ValueError(f"unknown delta_mode {delta_mode!r}")
+        delta = 100.0 * (baseline - utterance_acc)
     return EvalReport(
         condition=condition,
         snr_db=snr_db,
@@ -350,12 +352,6 @@ def read_report(path):
 # --- experiment stages -----------------------------------------------------
 
 
-def _work_dir(config: RunConfig) -> Path:
-    work = Path(config.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
-    return work
-
-
 def _load_clip(config: RunConfig, path: str) -> AudioClip:
     clip = read_wav(path)
     if clip.sample_rate_hz != config.sample_rate_hz:
@@ -393,19 +389,19 @@ def load_noise(config: RunConfig, category: str) -> AudioClip:
 
 
 def manifest_path(config: RunConfig) -> Path:
-    return _work_dir(config) / "manifest.csv"
+    return Path(config.work_dir) / "manifest.csv"
 
 
 def model_path(config: RunConfig) -> Path:
-    return _work_dir(config) / "model.dbn"
+    return Path(config.work_dir) / "model.dbn"
 
 
 def model_key_path(config: RunConfig) -> Path:
-    return _work_dir(config) / "model.key"
+    return Path(config.work_dir) / "model.key"
 
 
 def report_path(config: RunConfig) -> Path:
-    return _work_dir(config) / "report.csv"
+    return Path(config.work_dir) / "report.csv"
 
 
 def prepare(config: RunConfig, progress=None) -> Path:
@@ -413,6 +409,7 @@ def prepare(config: RunConfig, progress=None) -> Path:
     log = progress or (lambda msg: None)
     manifest = build_manifest(config.clean_dir)
     manifest = split(manifest, config.split_strategy, config.test_fraction, config.seed)
+    Path(config.work_dir).mkdir(parents=True, exist_ok=True)
     path = manifest_path(config)
     write_manifest(manifest, path)
     log(f"manifest: {len(manifest)} utterances -> {path}")
@@ -437,30 +434,26 @@ def _training_set(config: RunConfig, train_entries, noises=None):
     blocks = []
     labels = []
     for entry in train_entries:
-        clip = _load_clip(config, entry.path)
+        name = Path(entry.path).name
+        noise = snr = None
         if noises:
-            name = Path(entry.path).name
-            pick = np.random.default_rng(
-                [config.seed, zlib.crc32(name.encode())]
-            )
-            category = categories[int(pick.integers(len(categories)))]
+            pick = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
+            noise = noises[categories[int(pick.integers(len(categories)))]]
             snr = config.snrs_db[int(pick.integers(len(config.snrs_db)))]
-            noise = noises[category]
-            spec = MixSpec(snr, noise_offset_for(config.seed, name, len(noise)), config.seed)
-            clip = mix_at_snr(clip, noise, spec)
-        segments = segment_features(mfcc(clip, config.mfcc), config.segment)
+        segments = _segments(config, _load_clip(config, entry.path), name, noise, snr)
         blocks.append(segments)
         labels.extend([int(entry.label)] * segments.shape[0])
     return np.vstack(blocks), np.asarray(labels, dtype=np.int64)
 
 
-def _training_key(config: RunConfig, noise_categories=None) -> str:
-    """sha256 of every config field that train_model reads.
+def _training_key(config: RunConfig, train_entries, noise_categories=None) -> str:
+    """sha256 of the training split and every config field that train_model reads.
 
     ``noise_categories`` are the resolved categories; they and the SNRs
     count only when training on noisy speech.
     """
     fields = {
+        "train_split": [[e.path, int(e.label)] for e in train_entries],
         "mfcc": asdict(config.mfcc),
         "segment": asdict(config.segment),
         "sample_rate_hz": config.sample_rate_hz,
@@ -509,17 +502,9 @@ def train_model(config: RunConfig, progress=None) -> Path:
     key_path.unlink(missing_ok=True)
     save_model(model, path)
     with atomic_open(key_path, "w") as fh:
-        fh.write(_training_key(config, categories) + "\n")
+        fh.write(_training_key(config, train_entries, categories) + "\n")
     log(f"model -> {path}")
     return path
-
-
-def _noise_transform(config: RunConfig, noise: AudioClip, snr_db: float):
-    def corrupt(clip: AudioClip, entry: ManifestEntry) -> AudioClip:
-        offset = noise_offset_for(config.seed, Path(entry.path).name, len(noise))
-        return mix_at_snr(clip, noise, MixSpec(snr_db, offset, config.seed))
-
-    return corrupt
 
 
 def evaluate_experiment(config: RunConfig, progress=None) -> Path:
@@ -537,18 +522,16 @@ def evaluate_experiment(config: RunConfig, progress=None) -> Path:
     if not key_file.exists():
         raise ValueError(f"{key_file} not found, so {model_file} cannot be matched to "
                          "the config; run the train stage again")
-    if key_file.read_text().strip() != _training_key(config, categories):
-        raise ValueError(f"{model_file} was trained under a different config (mfcc, segment, "
-                         "sample rate, hidden sizes, training or noise settings); "
-                         "run the train stage again")
+    train_entries = [e for e in manifest if e.split == "train"]
+    if key_file.read_text().strip() != _training_key(config, train_entries, categories):
+        raise ValueError(f"{model_file} was trained on another split or under a different "
+                         "config (mfcc, segment, sample rate, hidden sizes, training or noise "
+                         "settings); run the train stage again")
     model = load_model(model_file)
 
     clips = {e.path: _load_clip(config, e.path) for e in test_entries}
     log(f"evaluating clean baseline on {len(test_entries)} utterances")
-    clean_report = evaluate(
-        model, test_entries, config.mfcc, config.segment,
-        condition=CLEAN_CONDITION, delta_mode=config.delta_mode, clips=clips,
-    )
+    clean_report = evaluate(model, test_entries, clips, config)
     reports = [clean_report]
     for category in categories:
         noise = load_noise(config, category)
@@ -556,11 +539,8 @@ def evaluate_experiment(config: RunConfig, progress=None) -> Path:
             log(f"evaluating {category} at {snr:g} dB")
             reports.append(
                 evaluate(
-                    model, test_entries, config.mfcc, config.segment,
-                    condition=category, snr_db=snr,
-                    transform=_noise_transform(config, noise, snr),
-                    clean_accuracy=clean_report.utterance_accuracy,
-                    delta_mode=config.delta_mode, clips=clips,
+                    model, test_entries, clips, config, condition=category, noise=noise,
+                    snr_db=snr, clean_accuracy=clean_report.utterance_accuracy,
                 )
             )
     path = report_path(config)

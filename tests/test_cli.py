@@ -65,6 +65,43 @@ class TestParseArgs:
         _, config = parse_args(["run", "--work-dir", "explicit"])
         assert config.work_dir == "explicit"
 
+    @pytest.mark.parametrize(
+        "flag,section,key,text",
+        [
+            ("--clean-dir", "pipeline", "clean_dir", "/data/clean"),
+            ("--noise-dir", "pipeline", "noise_dir", "/data/noise"),
+            ("--work-dir", "pipeline", "work_dir", "/data/work"),
+            ("--seed", "pipeline", "seed", "7"),
+            ("--snrs", "audio", "snrs_db", "-5, 0"),
+            ("--categories", "pipeline", "noise_categories", "white, pink"),
+            ("--split-strategy", "pipeline", "split_strategy", "leave_speakers_out"),
+            ("--test-fraction", "pipeline", "test_fraction", "0.3"),
+            ("--delta-mode", "pipeline", "delta_mode", "absolute"),
+            ("--sample-rate", "pipeline", "sample_rate_hz", "8000"),
+            ("--epochs-pretrain", "dbn", "epochs_pretrain", "2"),
+            ("--epochs-finetune", "dbn", "epochs_finetune", "4"),
+            ("--hidden-sizes", "dbn", "hidden_sizes", "8,8,16"),
+        ],
+    )
+    def test_flag_matches_config_key(self, tmp_path, monkeypatch, flag, section, key, text):
+        monkeypatch.delenv("EMONOISE_WORKDIR", raising=False)
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"[{section}]\n{key} = {text}\n")
+        from_file = load_config(cfg_file)
+        assert from_file != RunConfig()
+        assert parse_args(["train", flag, text])[1] == from_file
+
+    @pytest.mark.parametrize(
+        "flag,text",
+        [("--seed", "x"), ("--snrs", "0,abc"), ("--split-strategy", "bogus"),
+         ("--hidden-sizes", "")],
+    )
+    def test_bad_flag_value_exits_two(self, flag, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", flag, text])
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_parse_serialize_parse_is_fixed_point(self, tmp_path):
@@ -140,6 +177,12 @@ class TestDispatch:
         code = main(["report", "--work-dir", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_report_in_missing_work_dir_creates_nothing(self, tmp_path, capsys):
+        work = tmp_path / "missing"
+        assert main(["report", "--work-dir", str(work)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not work.exists()
 
     def test_evaluate_without_model_exits_one(self, tiny_run_args, capsys):
         extra, work = tiny_run_args

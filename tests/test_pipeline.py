@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emonoise import pipeline
-from emonoise.audio import AudioClip, MixSpec, mix_at_snr, read_wav, write_wav
+from emonoise.audio import AudioClip, read_wav, write_wav
 from emonoise.config import RunConfig
 from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
@@ -25,7 +25,7 @@ from emonoise.pipeline import (
     evaluate_experiment,
     fit_standardization,
     majority_vote,
-    noise_offset_for,
+    prepare,
     read_manifest,
     read_report,
     run_experiment,
@@ -260,6 +260,10 @@ def constant_predictor(label: int, n_in=13):
     return Dbn([rbm], np.zeros((4, 7)), bias, input_mean=np.zeros(n_in), input_std=np.ones(n_in))
 
 
+def load_clips(entries):
+    return {e.path: read_wav(e.path) for e in entries}
+
+
 def make_test_entries(tmp_path, labelled_names):
     entries = []
     for i, (name, label) in enumerate(labelled_names):
@@ -275,7 +279,7 @@ class TestEvaluate:
             [("01a01Wa.wav", Label.ANGER), ("02a01Wa.wav", Label.ANGER),
              ("03a01Fa.wav", Label.JOY)],
         )
-        report = evaluate(constant_predictor(Label.ANGER), entries)
+        report = evaluate(constant_predictor(Label.ANGER), entries, load_clips(entries), RunConfig())
         assert report.utterance_accuracy == pytest.approx(2 / 3)
         assert report.confusion[Label.ANGER, Label.ANGER] == 2
         assert report.confusion[Label.JOY, Label.ANGER] == 1
@@ -287,7 +291,7 @@ class TestEvaluate:
             [("01a01Wa.wav", Label.ANGER), ("02a01Fa.wav", Label.JOY),
              ("03a01Na.wav", Label.NEUTRAL), ("04a01Ta.wav", Label.SADNESS)],
         )
-        report = evaluate(constant_predictor(Label.JOY), entries)
+        report = evaluate(constant_predictor(Label.JOY), entries, load_clips(entries), RunConfig())
         assert report.utterance_accuracy == pytest.approx(1 / 4)
         assert report.segment_accuracy == pytest.approx(1 / 4)
 
@@ -297,7 +301,8 @@ class TestEvaluate:
             [("01a01Wa.wav", Label.ANGER), ("02a01Wa.wav", Label.ANGER),
              ("03a01Fa.wav", Label.JOY), ("04a01Na.wav", Label.NEUTRAL)],
         )
-        report = evaluate(constant_predictor(Label.DISGUST), entries)
+        report = evaluate(constant_predictor(Label.DISGUST), entries, load_clips(entries),
+                          RunConfig())
         np.testing.assert_array_equal(
             report.confusion.sum(axis=1),
             [2, 0, 0, 0, 1, 1, 0],
@@ -310,31 +315,26 @@ class TestEvaluate:
              ("03a01Na.wav", Label.NEUTRAL)],
         )
         noise = AudioClip(0.2 * np.random.default_rng(9).standard_normal(8000), 16000)
-
-        def corrupt(clip, entry, snr=0.0):
-            from pathlib import Path
-
-            offset = noise_offset_for(42, Path(entry.path).name, len(noise))
-            return mix_at_snr(clip, noise, MixSpec(snr, offset))
-
         model = constant_predictor(Label.ANGER)
-        forward_report = evaluate(model, entries, transform=corrupt, condition="white")
-        reverse_report = evaluate(model, list(reversed(entries)), transform=corrupt,
-                                  condition="white")
+        clips = load_clips(entries)
+        forward_report = evaluate(model, entries, clips, RunConfig(), condition="white",
+                                  noise=noise, snr_db=0.0)
+        reverse_report = evaluate(model, list(reversed(entries)), clips, RunConfig(),
+                                  condition="white", noise=noise, snr_db=0.0)
         assert forward_report.utterance_accuracy == reverse_report.utterance_accuracy
         assert forward_report.segment_accuracy == reverse_report.segment_accuracy
         np.testing.assert_array_equal(forward_report.confusion, reverse_report.confusion)
 
     def test_clean_condition_is_its_own_baseline(self, tmp_path):
         entries = make_test_entries(tmp_path, [("01a01Wa.wav", Label.ANGER)])
-        report = evaluate(constant_predictor(Label.ANGER), entries)
+        report = evaluate(constant_predictor(Label.ANGER), entries, load_clips(entries), RunConfig())
         assert report.clean_accuracy == report.utterance_accuracy
         assert report.delta_percent == 0.0
         assert report.band == "<10"
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(constant_predictor(0), [])
+            evaluate(constant_predictor(0), [], {}, RunConfig())
 
 
 def dummy_report(condition, snr, acc, clean_acc):
@@ -464,6 +464,24 @@ class TestExperimentStages:
         ):
             with pytest.raises(ValueError, match="run the train stage"):
                 evaluate_experiment(stale)
+
+    def test_model_trained_on_another_split_is_refused(self, tmp_path, tone_corpus):
+        clean_dir, noise_dir = tone_corpus
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0,), hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        train_model(config)
+        # the same split written again keeps the model usable
+        prepare(config)
+        evaluate_experiment(config)
+        # a larger test split takes in utterances the model was trained on
+        resplit = replace(config, test_fraction=0.5)
+        prepare(resplit)
+        for current in (config, resplit):
+            with pytest.raises(ValueError, match="another split.*run the train stage"):
+                evaluate_experiment(current)
 
     def test_model_without_key_is_refused(self, tmp_path, tone_corpus):
         clean_dir, noise_dir = tone_corpus
