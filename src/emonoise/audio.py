@@ -20,7 +20,9 @@ FULL_SCALE = 32768.0  # one int16 quantization step is 1/32768
 # The support widens by source/target when downsampling so the anti-alias
 # cutoff stays at the output Nyquist.
 _KERNEL_TAPS = 64
-_RESAMPLE_CHUNK = 1 << 16
+# Outputs per gather: each chunk gathers chunk x taps input samples and as many
+# kernel weights (about 12 MB at 178 taps), whatever the clip length.
+_RESAMPLE_CHUNK = 4096
 
 
 class WavFormatError(ValueError):
@@ -142,7 +144,16 @@ def write_wav(clip: AudioClip, path) -> None:
 
 
 def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
-    """Band-limited resampling with a 64-tap Hann-windowed sinc kernel.
+    """Band-limited polyphase resampling with a Hann-windowed sinc kernel.
+
+    The kernel spans 64 zero crossings of the sinc at unit ratio; when
+    downsampling it widens by source/target so the cutoff sits at the output
+    Nyquist (178 taps at 44.1 -> 16 kHz, 65 when upsampling). With
+    up/down = target/source in lowest terms, output n sits at the exact
+    source position n*down/up, so its kernel depends only on the phase
+    (n*down) % up: one table row is built per phase and reused. Samples
+    outside the clip count as zero. Memory is bounded by the phase table
+    plus _RESAMPLE_CHUNK x taps, whatever the clip length.
 
     Output length is round(len * target/source). Equal rates return the
     input samples unchanged.
@@ -158,24 +169,32 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     if out_len == 0 or len(clip) == 0:
         return AudioClip(np.zeros(out_len), target_rate_hz)
 
-    x = clip.samples
+    g = math.gcd(target_rate_hz, source_rate)
+    up, down = target_rate_hz // g, source_rate // g
     cutoff = min(1.0, ratio)  # relative to the source Nyquist
     half_width = (_KERNEL_TAPS / 2) / cutoff
     taps = np.arange(int(math.ceil(2 * half_width)) + 1)
+
+    # row p serves every output n with n % n_phases == p
+    n_phases = min(up, out_len)
+    frac = (np.arange(n_phases) * down % up) / up  # position past floor(n*down/up)
+    lead = np.ceil(frac - half_width).astype(np.int64)  # first tap, relative to the floor
+    delta = frac[:, None] - (lead[:, None] + taps[None, :])
+    window = np.where(
+        np.abs(delta) <= half_width, 0.5 * (1.0 + np.cos(np.pi * delta / half_width)), 0.0
+    )
+    table = cutoff * np.sinc(cutoff * delta) * window
+
+    pad_left = -int(lead.min())
+    last = (out_len - 1) * down // up + int(lead.max()) + taps.size
+    x = np.pad(clip.samples, (pad_left, max(0, last - len(clip))))
+    windows = np.lib.stride_tricks.sliding_window_view(x, taps.size)
+    lead += pad_left
     out = np.empty(out_len)
     for start in range(0, out_len, _RESAMPLE_CHUNK):
         n = np.arange(start, min(start + _RESAMPLE_CHUNK, out_len))
-        t = n / ratio  # output sample positions in source units
-        first = np.ceil(t - half_width).astype(np.int64)
-        idx = first[:, None] + taps[None, :]
-        delta = t[:, None] - idx
-        window = np.where(
-            np.abs(delta) <= half_width, 0.5 * (1.0 + np.cos(np.pi * delta / half_width)), 0.0
-        )
-        kernel = cutoff * np.sinc(cutoff * delta) * window
-        inside = (idx >= 0) & (idx < x.size)
-        values = np.where(inside, x[np.clip(idx, 0, x.size - 1)], 0.0)
-        out[n] = np.einsum("ij,ij->i", values, kernel)
+        row = n % n_phases
+        out[n] = np.einsum("ij,ij->i", windows[n * down // up + lead[row]], table[row])
     return AudioClip(out, target_rate_hz)
 
 

@@ -97,12 +97,14 @@ def mel_to_hz(m):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=32)
 def mel_filterbank(cfg: MfccConfig, sample_rate_hz: int) -> np.ndarray:
-    """Triangular mel filters as an (n_mels, fft_size/2 + 1) weight matrix.
+    """Triangular mel filters as a read-only (n_mels, fft_size/2 + 1) weight matrix.
 
     Corner frequencies are n_mels + 2 mel-equally-spaced points between
     fmin and fmax; each filter rises linearly in Hz to weight 1 at its
     center and falls to 0 at its neighbours' centers. No area normalization.
+    The matrix is cached per (cfg, sample_rate_hz).
     """
     fmax = sample_rate_hz / 2.0 if cfg.fmax_hz is None else cfg.fmax_hz
     if fmax > sample_rate_hz / 2.0:
@@ -122,6 +124,7 @@ def mel_filterbank(cfg: MfccConfig, sample_rate_hz: int) -> np.ndarray:
         raise ValueError(
             f"mel filter {empty[0]} has zero support; lower n_mels or raise fft_size"
         )
+    weights.flags.writeable = False
     return weights
 
 

@@ -5,7 +5,37 @@ enumeration, central finite differences) and shares no code with the
 implementations it verifies.
 """
 
+import math
+
 import numpy as np
+
+
+def reference_resample(x, source, target, ns):
+    """Outputs ``ns`` of the windowed-sinc resampling of ``x`` from source to target Hz.
+
+    One output at a time: its exact source position q + r/up from
+    divmod(n*down, up), then a plain sum of x[k] times a Hann window and a
+    sinc over every k within half the kernel width (32 zero crossings over
+    the cutoff), x[k] = 0 outside the clip.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = math.gcd(source, target)
+    up, down = target // g, source // g
+    cutoff = min(1.0, target / source)
+    half_width = 32.0 / cutoff
+    out = np.zeros(len(ns))
+    for i, n in enumerate(ns):
+        q, r = divmod(n * down, up)
+        frac = r / up
+        for k in range(q + math.ceil(frac - half_width), q + math.floor(frac + half_width) + 1):
+            if not 0 <= k < x.size:
+                continue
+            delta = (q - k) + frac
+            u = math.pi * cutoff * delta
+            sinc = 1.0 if u == 0.0 else math.sin(u) / u
+            window = 0.5 * (1.0 + math.cos(math.pi * delta / half_width))
+            out[i] += x[k] * cutoff * sinc * window
+    return out
 
 
 def naive_dft(x):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from emonoise.audio import (
     rms,
     write_wav,
 )
+
+from _oracles import reference_resample
 
 
 def make_wav_bytes(samples_int16, sample_rate=16000, n_channels=1, fmt_code=1, bits=16,
@@ -150,6 +153,45 @@ class TestResample:
 
     def test_empty_clip(self):
         assert len(resample(AudioClip(np.array([]), 48000), 16000)) == 0
+
+    @staticmethod
+    def assert_matches_reference(x, source, target):
+        out = resample(AudioClip(x, source), target).samples
+        assert len(out) == int(np.floor(len(x) * target / source + 0.5))
+        m = len(out)
+        rng = np.random.default_rng(source + target)
+        ns = sorted(set(range(min(50, m))) | set(range(max(0, m - 50), m))
+                    | set(rng.integers(0, m, 200).tolist()))
+        np.testing.assert_allclose(out[ns], reference_resample(x, source, target, ns),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "source,target,seconds",
+        [(44100, 16000, 1.0), (22050, 16000, 1.0), (48000, 16000, 1.0), (8000, 16000, 1.0),
+         (16000, 44100, 1.0), (44101, 16000, 1.0), (44100, 16000, 30.0)],
+    )
+    def test_matches_reference(self, source, target, seconds):
+        rng = np.random.default_rng(source)
+        self.assert_matches_reference(rng.uniform(-1.0, 1.0, int(source * seconds)), source, target)
+
+    def test_clip_shorter_than_kernel(self):
+        self.assert_matches_reference(np.array([0.5, -0.25, 1.0, 0.0, -0.75]), 44100, 16000)
+
+    @pytest.mark.parametrize("source,target", [(16000, 44100), (44101, 16000)])
+    def test_fewer_outputs_than_phases(self, source, target):
+        # 441 phases up from 16 kHz, 16000 down from 44101 Hz; 300 samples give fewer outputs
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 300)
+        self.assert_matches_reference(x, source, target)
+
+    def test_peak_memory_is_bounded(self):
+        clip = AudioClip(np.random.default_rng(4).uniform(-1.0, 1.0, 3 * 44100), 44100)
+        tracemalloc.start()
+        try:
+            resample(clip, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_bad_target_rate(self):
         with pytest.raises(ValueError):

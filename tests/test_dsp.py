@@ -166,8 +166,16 @@ class TestMelFilterbank:
             mel_filterbank(MfccConfig(fmax_hz=9000.0), 16000)
 
     def test_too_many_filters_rejected(self):
-        with pytest.raises(ValueError, match="support"):
-            mel_filterbank(MfccConfig(n_mels=400, n_ceps=13), 16000)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ValueError, match="support"):
+                mel_filterbank(MfccConfig(n_mels=400, n_ceps=13), 16000)
+
+    def test_cached_and_read_only(self):
+        fb = mel_filterbank(MfccConfig(n_mels=20), 16000)
+        assert mel_filterbank(MfccConfig(n_mels=20), 16000) is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
 
 
 class TestDct2:
