@@ -16,6 +16,7 @@ from .dbn import (
     TrainConfig,
     cd_update,
     fine_tune,
+    fit_standardization,
     forward,
     free_energy,
     hidden_probs,
@@ -34,7 +35,6 @@ from .pipeline import (
     band,
     build_manifest,
     evaluate,
-    fit_standardization,
     majority_vote,
     run_experiment,
     split,

@@ -20,8 +20,9 @@ FULL_SCALE = 32768.0  # one int16 quantization step is 1/32768
 # The support widens by source/target when downsampling so the anti-alias
 # cutoff stays at the output Nyquist.
 _KERNEL_TAPS = 64
-# Outputs per gather: each chunk gathers chunk x taps input samples and as many
-# kernel weights (about 12 MB at 178 taps), whatever the clip length.
+# Outputs per gather, and phase-table rows per build step: each chunk holds
+# chunk x taps values per temporary (about 6 MB at 178 taps), whatever the
+# clip length or the number of phases.
 _RESAMPLE_CHUNK = 4096
 
 
@@ -153,7 +154,8 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     source position n*down/up, so its kernel depends only on the phase
     (n*down) % up: one table row is built per phase and reused. Samples
     outside the clip count as zero. Memory is bounded by the phase table
-    plus _RESAMPLE_CHUNK x taps, whatever the clip length.
+    plus a few _RESAMPLE_CHUNK x taps temporaries, whatever the clip length
+    and the number of phases.
 
     Output length is round(len * target/source). Equal rates return the
     input samples unchanged.
@@ -179,11 +181,14 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     n_phases = min(up, out_len)
     frac = (np.arange(n_phases) * down % up) / up  # position past floor(n*down/up)
     lead = np.ceil(frac - half_width).astype(np.int64)  # first tap, relative to the floor
-    delta = frac[:, None] - (lead[:, None] + taps[None, :])
-    window = np.where(
-        np.abs(delta) <= half_width, 0.5 * (1.0 + np.cos(np.pi * delta / half_width)), 0.0
-    )
-    table = cutoff * np.sinc(cutoff * delta) * window
+    table = np.empty((n_phases, taps.size))
+    for start in range(0, n_phases, _RESAMPLE_CHUNK):
+        rows = slice(start, start + _RESAMPLE_CHUNK)
+        delta = frac[rows, None] - (lead[rows, None] + taps[None, :])
+        window = np.where(
+            np.abs(delta) <= half_width, 0.5 * (1.0 + np.cos(np.pi * delta / half_width)), 0.0
+        )
+        table[rows] = cutoff * np.sinc(cutoff * delta) * window
 
     pad_left = -int(lead.min())
     last = (out_len - 1) * down // up + int(lead.max()) + taps.size

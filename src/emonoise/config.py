@@ -9,6 +9,7 @@ Parsing a serialized config yields the identical RunConfig back.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .dbn import TrainConfig
@@ -22,8 +23,8 @@ DELTA_MODES = ("relative", "absolute")
 class RunConfig:
     """Everything one experiment run needs, including the master seed.
 
-    ``train.seed`` is ignored by the pipeline: the master ``seed`` governs
-    splitting, training, and noise-window choice alike.
+    The master ``seed`` governs splitting, training, and noise-window choice
+    alike.
     """
 
     clean_dir: str = ""
@@ -51,10 +52,10 @@ class RunConfig:
             raise ValueError("test_fraction must lie in (0, 1)")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if not self.snrs_db:
-            raise ValueError("snrs_db must not be empty")
-        if not self.hidden_sizes:
-            raise ValueError("hidden_sizes must not be empty")
+        if not self.snrs_db or not all(math.isfinite(snr) for snr in self.snrs_db):
+            raise ValueError("snrs_db must be a nonempty list of finite values")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must be a nonempty list of sizes of at least 1")
 
 
 def _to_bool(text: str) -> bool:

@@ -6,17 +6,21 @@ sides. Pretraining is greedy layerwise contrastive divergence; supervised
 fine-tuning unrolls the stack into a sigmoid feedforward net with a softmax
 head and backpropagates mean cross-entropy.
 
-Every training routine is a pure function of its inputs and the config
-seed: repeated runs produce bit-identical parameters. Training updates
-private mutable arrays in place (an ``RbmState`` per RBM during
-pretraining, a working copy of the network during fine-tuning) and freezes
-them into ``Rbm``/``Dbn`` values once, at the end. The returned models are
-never written again, so they are safe for concurrent read-only inference.
+Callers pass raw feature vectors: pretrain_dbn fits the input z-score and
+stores it in the Dbn, and fine_tune and forward apply it. Every training
+routine is a pure function of its inputs and the seed it is given: repeated
+runs produce bit-identical parameters. Training updates private mutable
+arrays in place (an ``RbmState`` per RBM during pretraining, a working copy
+of the network during fine-tuning) and freezes them into ``Rbm``/``Dbn``
+values once, at the end. The returned models are never written again, so
+they are safe for concurrent read-only inference.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,7 +72,7 @@ def softplus(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer hyperparameters plus the seed that fixes every random draw.
+    """Optimizer hyperparameters; the seed is passed to each training routine.
 
     The paper leaves all of these open, so they are ordinary config: CD-1,
     momentum SGD with a small weight decay during pretraining, and plain
@@ -85,7 +89,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs_pretrain: int = 30
     epochs_finetune: int = 50
-    seed: int = 0
     finetune_head_only: bool = False
 
     def __post_init__(self) -> None:
@@ -140,15 +143,14 @@ class Dbn:
     """Stacked RBMs plus a softmax head and the input standardization.
 
     ``input_mean``/``input_std`` hold the per-dimension z-score parameters
-    fitted on training features; ``forward`` refuses to run until they are
-    set.
+    fitted on training features.
     """
 
     rbms: list[Rbm]
     softmax_weights: np.ndarray
     softmax_bias: np.ndarray
-    input_mean: np.ndarray | None = None
-    input_std: np.ndarray | None = None
+    input_mean: np.ndarray
+    input_std: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.rbms:
@@ -165,12 +167,10 @@ class Dbn:
         if self.softmax_weights.shape != (top, self.softmax_bias.shape[0]):
             raise ValueError("softmax head does not match the top RBM layer")
         for name in ("input_mean", "input_std"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray(val, dtype=np.float64)
-                if val.shape != (self.rbms[0].n_visible,):
-                    raise ValueError(f"{name} must have one entry per input dimension")
-                setattr(self, name, val)
+            val = np.asarray(getattr(self, name), dtype=np.float64)
+            if val.shape != (self.rbms[0].n_visible,):
+                raise ValueError(f"{name} must have one entry per input dimension")
+            setattr(self, name, val)
 
     @property
     def n_labels(self) -> int:
@@ -343,34 +343,47 @@ def train_rbm(rbm: Rbm, data: np.ndarray, cfg: TrainConfig, rng: np.random.Gener
     return state.freeze()
 
 
-def pretrain_dbn(
-    data,
-    layer_sizes,
-    cfg: TrainConfig = TrainConfig(),
-    standardization: tuple[np.ndarray, np.ndarray] | None = None,
-    n_labels: int = N_LABELS,
-) -> Dbn:
-    """Greedy layerwise pretraining on already-standardized feature vectors.
+def fit_standardization(train_features):
+    """Per-dimension mean and population std of training feature vectors.
 
-    ``layer_sizes`` is the input width followed by each hidden width, e.g.
-    the paper's (13, 1000, 1000, 2000). Each RBM is trained on the
-    deterministic hidden probabilities of the one below it; the softmax head
-    is randomly initialized (seeded normal, sd 0.01). ``standardization`` is
-    the (mean, std) pair the caller fitted on raw training features, stored
-    for use by forward().
+    Dimensions with zero spread get std clamped to 1 (with a warning) so
+    z-scoring maps them to exactly 0.
+    """
+    x = np.asarray(train_features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("standardization needs a nonempty 2-D feature array")
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    flat = std == 0.0
+    if flat.any():
+        warnings.warn(
+            f"{int(flat.sum())} feature dimension(s) are constant; clamping their std to 1"
+        )
+        std = np.where(flat, 1.0, std)
+    return mean, std
+
+
+def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
+    """Greedy layerwise pretraining on raw feature vectors.
+
+    Fits the z-score on ``data``, stores it in the returned Dbn and
+    pretrains on the standardized rows. ``hidden_sizes`` lists each hidden
+    width, e.g. the paper's (1000, 1000, 2000); the input width is that of
+    ``data``. Each RBM is trained on the deterministic hidden probabilities
+    of the one below it; the softmax head over N_LABELS classes is randomly
+    initialized (seeded normal, sd 0.01). ``seed`` fixes every draw.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("pretraining data must be a nonempty 2-D array")
-    sizes = list(layer_sizes)
+    sizes = [data.shape[1], *hidden_sizes]
     if len(sizes) < 2:
-        raise ValueError("layer_sizes needs an input size and at least one hidden size")
-    if sizes[0] != data.shape[1]:
-        raise ValueError(f"layer_sizes[0] = {sizes[0]} but data has {data.shape[1]} columns")
+        raise ValueError("hidden_sizes needs at least one hidden size")
+    mean, std = fit_standardization(data)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     rbms: list[Rbm] = []
-    activations = data
+    activations = (data - mean) / std
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
         if rbms:
             activations = hidden_probs(rbms[-1], activations)
@@ -378,22 +391,13 @@ def pretrain_dbn(
         rbm = _init_rbm(n_vis, n_hid, kind, rng)
         rbms.append(train_rbm(rbm, activations, cfg, rng))
 
-    mean = std = None
-    if standardization is not None:
-        mean, std = standardization
     return Dbn(
         rbms=rbms,
-        softmax_weights=0.01 * rng.standard_normal((sizes[-1], n_labels)),
-        softmax_bias=np.zeros(n_labels),
+        softmax_weights=0.01 * rng.standard_normal((sizes[-1], N_LABELS)),
+        softmax_bias=np.zeros(N_LABELS),
         input_mean=mean,
         input_std=std,
     )
-
-
-def _standardize(dbn: Dbn, x: np.ndarray) -> np.ndarray:
-    if dbn.input_mean is None or dbn.input_std is None:
-        raise ValueError("input standardization not set on this Dbn")
-    return (x - dbn.input_mean) / dbn.input_std
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -402,7 +406,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_activations(dbn: Dbn, x2d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    activations = [_standardize(dbn, x2d)]
+    activations = [(x2d - dbn.input_mean) / dbn.input_std]
     for rbm in dbn.rbms:
         activations.append(hidden_probs(rbm, activations[-1]))
     logits = activations[-1] @ dbn.softmax_weights + dbn.softmax_bias
@@ -461,12 +465,13 @@ def _loss_and_grads(dbn: Dbn, x2d: np.ndarray, labels: np.ndarray):
     return loss, d_layers, d_head
 
 
-def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig = TrainConfig()) -> Dbn:
+def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     """Supervised fine-tuning: momentum SGD on mean cross-entropy.
 
-    ``data`` holds raw feature vectors (standardization is applied inside
-    the forward pass); ``labels`` are integer class indices. Returns a new
-    network; the input is untouched.
+    ``data`` holds raw feature vectors (the Dbn's standardization is applied
+    inside the forward pass); ``labels`` are integer class indices; ``seed``
+    fixes the minibatch order. Returns a new network; the input is
+    untouched.
     """
     x = np.asarray(data, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -478,18 +483,11 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig = TrainConfig()) -> Dbn:
         raise ValueError(f"labels must lie in [0, {dbn.n_labels - 1}]")
 
     # the working copy whose arrays the loop below updates in place
-    tuned = Dbn(
-        rbms=[replace(r, weights=r.weights.copy(), visible_bias=r.visible_bias.copy(),
-                      hidden_bias=r.hidden_bias.copy()) for r in dbn.rbms],
-        softmax_weights=dbn.softmax_weights.copy(),
-        softmax_bias=dbn.softmax_bias.copy(),
-        input_mean=None if dbn.input_mean is None else dbn.input_mean.copy(),
-        input_std=None if dbn.input_std is None else dbn.input_std.copy(),
-    )
+    tuned = copy.deepcopy(dbn)
     vel_layers = [(np.zeros_like(r.weights), np.zeros_like(r.hidden_bias)) for r in tuned.rbms]
     vel_head = (np.zeros_like(tuned.softmax_weights), np.zeros_like(tuned.softmax_bias))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     lr = cfg.learning_rate_finetune
     for _ in range(cfg.epochs_finetune):
         for idx in _minibatches(x.shape[0], cfg.batch_size, rng):
@@ -514,8 +512,6 @@ def _pack_f64(arr: np.ndarray) -> bytes:
 
 def save_model(dbn: Dbn, path) -> None:
     """Serialize a Dbn; load_model reproduces every parameter bit-exactly."""
-    if dbn.input_mean is None or dbn.input_std is None:
-        raise ValueError("cannot save a Dbn whose input standardization is not set")
     parts = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION, len(dbn.rbms))]
     for rbm in dbn.rbms:
         parts.append(struct.pack("<QQB", rbm.n_visible, rbm.n_hidden, _KIND_CODES[rbm.visible_kind]))

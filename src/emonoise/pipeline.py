@@ -14,6 +14,8 @@ not match the current manifest and config. Training and evaluation turn an
 utterance into segment vectors through one function, ``_segments``, which
 mixes in the condition's noise, if any, and computes MFCC segment means
 from the WAV under the current config; features are never cached.
+Training hands the raw segment vectors and the master seed to ``dbn``,
+which fits, stores and applies the input standardization itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import hashlib
 import json
 import math
-import warnings
 import zlib
 from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
@@ -169,34 +170,20 @@ def write_manifest(manifest, path) -> None:
 
 
 def read_manifest(path):
+    """Entries of a manifest CSV; a malformed row is a ValueError naming its line."""
+    entries = []
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["path", "label", "speaker", "split"]:
-        raise ValueError(f"{path}: not a manifest CSV (bad header)")
-    return [
-        ManifestEntry(path=r[0], label=Label[r[1].upper()], speaker=r[2], split=r[3])
-        for r in rows[1:]
-    ]
-
-
-def fit_standardization(train_features):
-    """Per-dimension mean and population std of training feature vectors.
-
-    Dimensions with zero spread get std clamped to 1 (with a warning) so
-    z-scoring maps them to exactly 0.
-    """
-    x = np.asarray(train_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("standardization needs a nonempty 2-D feature array")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    flat = std == 0.0
-    if flat.any():
-        warnings.warn(
-            f"{int(flat.sum())} feature dimension(s) are constant; clamping their std to 1"
-        )
-        std = np.where(flat, 1.0, std)
-    return mean, std
+        reader = csv.reader(fh)
+        if next(reader, None) != ["path", "label", "speaker", "split"]:
+            raise ValueError(f"{path}: not a manifest CSV (bad header)")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != 4:
+                raise ValueError(f"{where}: expected 4 fields, found {len(row)}")
+            if row[1].upper() not in Label.__members__:
+                raise ValueError(f"{where}: unknown label {row[1]!r}")
+            entries.append(ManifestEntry(row[0], Label[row[1].upper()], row[2], row[3]))
+    return entries
 
 
 def majority_vote(segment_labels) -> int:
@@ -458,7 +445,7 @@ def _training_key(config: RunConfig, train_entries, noise_categories=None) -> st
         "segment": asdict(config.segment),
         "sample_rate_hz": config.sample_rate_hz,
         "hidden_sizes": list(config.hidden_sizes),
-        "train": asdict(replace(config.train, seed=config.seed)),
+        "train": asdict(config.train),
         "seed": config.seed,
         "train_on_noisy": config.train_on_noisy,
     }
@@ -469,7 +456,7 @@ def _training_key(config: RunConfig, train_entries, noise_categories=None) -> st
 
 
 def train_model(config: RunConfig, progress=None) -> Path:
-    """Fit standardization, pretrain the RBM stack, fine-tune, save the model."""
+    """Pretrain the RBM stack on the training features, fine-tune, save the model."""
     log = progress or (lambda msg: None)
     manifest = _require_manifest(config, progress)
     train_entries = [e for e in manifest if e.split == "train"]
@@ -482,19 +469,10 @@ def train_model(config: RunConfig, progress=None) -> Path:
 
     features, labels = _training_set(config, train_entries, noises)
     log(f"training set: {features.shape[0]} segment vectors from {len(train_entries)} utterances")
-    mean, std = fit_standardization(features)
-    train_cfg = replace(config.train, seed=config.seed)
-    layer_sizes = [config.mfcc.n_ceps, *config.hidden_sizes]
-    log(f"pretraining layers {layer_sizes}")
-    model = pretrain_dbn(
-        (features - mean) / std,
-        layer_sizes,
-        train_cfg,
-        standardization=(mean, std),
-        n_labels=N_LABELS,
-    )
-    log(f"fine-tuning for {train_cfg.epochs_finetune} epochs")
-    model = fine_tune(model, features, labels, train_cfg)
+    log(f"pretraining layers {[features.shape[1], *config.hidden_sizes]}")
+    model = pretrain_dbn(features, config.hidden_sizes, config.train, config.seed)
+    log(f"fine-tuning for {config.train.epochs_finetune} epochs")
+    model = fine_tune(model, features, labels, config.train, config.seed)
     path = model_path(config)
     # the old key goes first, so no failure in between leaves a key that
     # vouches for a model it was not written with

@@ -213,7 +213,7 @@ def reference_finetune_grads(layers, head, mean, std, x, labels):
     return d_layers, d_head
 
 
-def reference_fine_tune(layers, head, mean, std, x, labels, cfg):
+def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
     """Momentum SGD on reference_finetune_grads, new arrays at every step.
 
     Returns (layers, head) after epochs_finetune epochs; with
@@ -222,7 +222,7 @@ def reference_fine_tune(layers, head, mean, std, x, labels, cfg):
     layers = list(layers)
     vel_layers = [(np.zeros_like(w), np.zeros_like(c)) for w, c in layers]
     vel_head = (np.zeros_like(head[0]), np.zeros_like(head[1]))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     lr = cfg.learning_rate_finetune
     for _ in range(cfg.epochs_finetune):
         for idx in _reference_batches(x.shape[0], cfg.batch_size, rng):

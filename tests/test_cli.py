@@ -94,7 +94,8 @@ class TestParseArgs:
     @pytest.mark.parametrize(
         "flag,text",
         [("--seed", "x"), ("--snrs", "0,abc"), ("--split-strategy", "bogus"),
-         ("--hidden-sizes", "")],
+         ("--hidden-sizes", ""), ("--snrs", "nan"), ("--snrs", "0,inf"),
+         ("--hidden-sizes", "0")],
     )
     def test_bad_flag_value_exits_two(self, flag, text, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -183,6 +184,12 @@ class TestDispatch:
         assert main(["report", "--work-dir", str(work)]) == 1
         assert "error" in capsys.readouterr().err
         assert not work.exists()
+
+    def test_train_on_malformed_manifest_exits_one(self, tmp_path, capsys):
+        (tmp_path / "manifest.csv").write_text("path,label,speaker,split\nx.wav,ANGRY,03,train\n")
+        assert main(["train", "--work-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown label 'ANGRY'" in err
 
     def test_evaluate_without_model_exits_one(self, tiny_run_args, capsys):
         extra, work = tiny_run_args

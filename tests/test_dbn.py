@@ -30,6 +30,7 @@ from emonoise.dbn import (
     _loss_and_grads,
     cd_update,
     fine_tune,
+    fit_standardization,
     forward,
     free_energy,
     hidden_probs,
@@ -168,7 +169,7 @@ class TestCdUpdate:
     def test_repeated_call_is_bit_identical(self):
         rbm = random_rbm(4, 3, seed=2)
         batch = binary_states(4)[3:9]
-        cfg = TrainConfig(seed=7)
+        cfg = TrainConfig()
         a, b = RbmState(rbm), RbmState(rbm)
         ea = cd_update(a, batch, cfg, np.random.default_rng(7))
         eb = cd_update(b, batch, cfg, np.random.default_rng(7))
@@ -277,7 +278,7 @@ class TestTrainRbm:
 
     def test_signatures_the_tracer_reads(self):
         assert list(inspect.signature(train_rbm).parameters) == ["rbm", "data", "cfg", "rng"]
-        assert list(inspect.signature(fine_tune).parameters) == ["dbn", "data", "labels", "cfg"]
+        assert list(inspect.signature(fine_tune).parameters) == ["dbn", "data", "labels", "cfg", "seed"]
 
 
 def small_dbn(seed=5, n_in=4, hidden=(3, 3, 3), n_labels=7, scale=0.6):
@@ -305,8 +306,8 @@ def small_dbn(seed=5, n_in=4, hidden=(3, 3, 3), n_labels=7, scale=0.6):
 class TestPretrain:
     def test_paper_topology_shapes(self):
         data = np.random.default_rng(0).standard_normal((20, 13))
-        cfg = TrainConfig(epochs_pretrain=0, seed=1)
-        model = pretrain_dbn(data, [13, 1000, 1000, 2000], cfg)
+        cfg = TrainConfig(epochs_pretrain=0)
+        model = pretrain_dbn(data, [1000, 1000, 2000], cfg, seed=1)
         shapes = [(r.n_visible, r.n_hidden) for r in model.rbms]
         assert shapes == [(13, 1000), (1000, 1000), (1000, 2000)]
         assert [r.visible_kind for r in model.rbms] == [GAUSSIAN, BERNOULLI, BERNOULLI]
@@ -314,8 +315,8 @@ class TestPretrain:
 
     def test_zero_epochs_retains_seeded_initialization(self):
         data = np.random.default_rng(0).standard_normal((10, 13))
-        cfg = TrainConfig(epochs_pretrain=0, seed=99)
-        model = pretrain_dbn(data, [13, 8, 8, 16], cfg)
+        cfg = TrainConfig(epochs_pretrain=0)
+        model = pretrain_dbn(data, [8, 8, 16], cfg, seed=99)
         replay = np.random.default_rng(99)
         for rbm, (nv, nh) in zip(model.rbms, [(13, 8), (8, 8), (8, 16)]):
             np.testing.assert_array_equal(rbm.weights, 0.01 * replay.standard_normal((nv, nh)))
@@ -323,26 +324,29 @@ class TestPretrain:
         np.testing.assert_array_equal(
             model.softmax_weights, 0.01 * replay.standard_normal((16, 7))
         )
+        mean, std = fit_standardization(data)
+        np.testing.assert_array_equal(model.input_mean, mean)
+        np.testing.assert_array_equal(model.input_std, std)
 
     def test_same_seed_same_parameters(self):
         data = np.random.default_rng(4).standard_normal((30, 5))
-        cfg = TrainConfig(epochs_pretrain=3, batch_size=8, seed=12)
-        a = pretrain_dbn(data, [5, 6, 6, 8], cfg)
-        b = pretrain_dbn(data, [5, 6, 6, 8], cfg)
+        cfg = TrainConfig(epochs_pretrain=3, batch_size=8)
+        a = pretrain_dbn(data, [6, 6, 8], cfg, seed=12)
+        b = pretrain_dbn(data, [6, 6, 8], cfg, seed=12)
         for ra, rb in zip(a.rbms, b.rbms):
             np.testing.assert_array_equal(ra.weights, rb.weights)
             np.testing.assert_array_equal(ra.visible_bias, rb.visible_bias)
             np.testing.assert_array_equal(ra.hidden_bias, rb.hidden_bias)
         np.testing.assert_array_equal(a.softmax_weights, b.softmax_weights)
 
-    def test_mismatched_input_size_rejected(self):
-        data = np.zeros((5, 4))
-        with pytest.raises(ValueError):
-            pretrain_dbn(data, [13, 8], TrainConfig(epochs_pretrain=0))
+    def test_empty_hidden_sizes_rejected(self):
+        data = np.random.default_rng(0).standard_normal((5, 4))
+        with pytest.raises(ValueError, match="hidden"):
+            pretrain_dbn(data, [], TrainConfig(epochs_pretrain=0), seed=0)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            pretrain_dbn(np.empty((0, 13)), [13, 8], TrainConfig(epochs_pretrain=0))
+            pretrain_dbn(np.empty((0, 13)), [8], TrainConfig(epochs_pretrain=0), seed=0)
 
 
 class TestForward:
@@ -369,9 +373,9 @@ class TestForward:
 
     def test_unset_standardization_rejected(self):
         model = small_dbn()
-        model.input_mean = None
-        with pytest.raises(ValueError, match="standardization"):
-            forward(model, np.zeros(4))
+        with pytest.raises(ValueError, match="input_mean"):
+            Dbn(model.rbms, model.softmax_weights, model.softmax_bias,
+                input_mean=None, input_std=model.input_std)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -383,7 +387,7 @@ class TestFineTune:
         model = small_dbn(seed=14)
         x = np.random.default_rng(3).standard_normal((10, 4))
         y = np.arange(10) % 7
-        tuned = fine_tune(model, x, y, TrainConfig(epochs_finetune=0))
+        tuned = fine_tune(model, x, y, TrainConfig(epochs_finetune=0), seed=0)
         for before, after in zip(model.rbms, tuned.rbms):
             np.testing.assert_array_equal(before.weights, after.weights)
         np.testing.assert_array_equal(model.softmax_weights, tuned.softmax_weights)
@@ -424,25 +428,25 @@ class TestFineTune:
             probs = forward(m, x)
             return -float(np.mean(np.log(probs[np.arange(len(y)), y])))
 
-        after_one = fine_tune(model, x, y, TrainConfig(epochs_finetune=1, batch_size=16, seed=3))
-        after_fifty = fine_tune(model, x, y, TrainConfig(epochs_finetune=50, batch_size=16, seed=3))
+        after_one = fine_tune(model, x, y, TrainConfig(epochs_finetune=1, batch_size=16), seed=3)
+        after_fifty = fine_tune(model, x, y, TrainConfig(epochs_finetune=50, batch_size=16), seed=3)
         assert mean_ce(after_fifty) < mean_ce(after_one)
 
     def test_label_out_of_range_rejected(self):
         model = small_dbn()
         with pytest.raises(ValueError, match="labels"):
-            fine_tune(model, np.zeros((3, 4)), [0, 7, 1], TrainConfig(epochs_finetune=1))
+            fine_tune(model, np.zeros((3, 4)), [0, 7, 1], TrainConfig(epochs_finetune=1), seed=0)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fine_tune(small_dbn(), np.empty((0, 4)), [], TrainConfig())
+            fine_tune(small_dbn(), np.empty((0, 4)), [], TrainConfig(), seed=0)
 
     def test_head_only_freezes_stack(self):
         model = small_dbn(seed=19)
         x = np.random.default_rng(20).standard_normal((20, 4))
         y = np.arange(20) % 7
-        cfg = TrainConfig(epochs_finetune=3, batch_size=8, seed=4, finetune_head_only=True)
-        tuned = fine_tune(model, x, y, cfg)
+        cfg = TrainConfig(epochs_finetune=3, batch_size=8, finetune_head_only=True)
+        tuned = fine_tune(model, x, y, cfg, seed=4)
         for before, after in zip(model.rbms, tuned.rbms):
             np.testing.assert_array_equal(before.weights, after.weights)
             np.testing.assert_array_equal(before.hidden_bias, after.hidden_bias)
@@ -458,13 +462,13 @@ class TestFineTune:
             return [p for r in m.rbms for p in rbm_params(r)] + [m.softmax_weights, m.softmax_bias]
 
         before = [p.copy() for p in params(model)]
-        cfg = TrainConfig(epochs_finetune=4, batch_size=8, seed=26,
+        cfg = TrainConfig(epochs_finetune=4, batch_size=8,
                           learning_rate_finetune=0.5, finetune_head_only=head_only)
-        tuned = fine_tune(model, x, y, cfg)
+        tuned = fine_tune(model, x, y, cfg, seed=26)
         layers, head = reference_fine_tune(
             [(r.weights, r.hidden_bias) for r in model.rbms],
             (model.softmax_weights, model.softmax_bias),
-            model.input_mean, model.input_std, x, y, cfg,
+            model.input_mean, model.input_std, x, y, cfg, 26,
         )
         assert isinstance(tuned, Dbn)
         for rbm, (w, c) in zip(tuned.rbms, layers):
@@ -479,9 +483,9 @@ class TestFineTune:
         model = small_dbn(seed=22)
         x = np.random.default_rng(23).standard_normal((30, 4))
         y = np.arange(30) % 7
-        cfg = TrainConfig(epochs_finetune=5, batch_size=8, seed=6)
-        a = fine_tune(model, x, y, cfg)
-        b = fine_tune(model, x, y, cfg)
+        cfg = TrainConfig(epochs_finetune=5, batch_size=8)
+        a = fine_tune(model, x, y, cfg, seed=6)
+        b = fine_tune(model, x, y, cfg, seed=6)
         np.testing.assert_array_equal(a.softmax_weights, b.softmax_weights)
         for ra, rb in zip(a.rbms, b.rbms):
             np.testing.assert_array_equal(ra.weights, rb.weights)
@@ -575,13 +579,6 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.dbn"]
 
-    def test_unset_standardization_rejected(self, tmp_path):
-        model = small_dbn(seed=42)
-        model.input_mean = None
-        model.input_std = None
-        with pytest.raises(ValueError, match="standardization"):
-            save_model(model, tmp_path / "x.dbn")
-
 
 class TestConfigValidation:
     def test_momentum_bounds(self):
@@ -598,11 +595,11 @@ class TestConfigValidation:
 
     def test_dbn_rejects_wrong_first_kind(self):
         rbm = zero_rbm(4, 3, BERNOULLI)
-        with pytest.raises(ValueError):
-            Dbn([rbm], np.zeros((3, 7)), np.zeros(7))
+        with pytest.raises(ValueError, match="gaussian visible units"):
+            Dbn([rbm], np.zeros((3, 7)), np.zeros(7), np.zeros(4), np.ones(4))
 
     def test_dbn_rejects_unchained_sizes(self):
         first = zero_rbm(4, 3, GAUSSIAN)
         second = zero_rbm(5, 2, BERNOULLI)
-        with pytest.raises(ValueError):
-            Dbn([first, second], np.zeros((2, 7)), np.zeros(7))
+        with pytest.raises(ValueError, match="do not chain"):
+            Dbn([first, second], np.zeros((2, 7)), np.zeros(7), np.zeros(4), np.ones(4))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from emonoise import pipeline
 from emonoise.audio import AudioClip, read_wav, write_wav
 from emonoise.config import RunConfig
-from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig
+from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig, fit_standardization
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
 from conftest import build_tone_corpus
 from emonoise.pipeline import (
@@ -23,7 +23,6 @@ from emonoise.pipeline import (
     emodb_speaker_rule,
     evaluate,
     evaluate_experiment,
-    fit_standardization,
     majority_vote,
     prepare,
     read_manifest,
@@ -168,6 +167,17 @@ class TestManifestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "row,problem",
+        [("03a01Wa.wav,anger,03", "expected 4 fields"), ("03a01Wa.wav,angry,03,train", "'angry'")],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"path,label,speaker,split\n03a01Fa.wav,joy,03,test\n{row}\n")
+        with pytest.raises(ValueError, match=problem) as exc:
+            read_manifest(path)
+        assert f"{path}, line 3" in str(exc.value)
 
 
 class TestStandardization:
