@@ -6,8 +6,8 @@ emotions by a deep belief network of stacked RBMs; results are reported as
 the clean-vs-noisy accuracy difference per noise condition.
 """
 
-from .audio import AudioClip, MixSpec, WavFormatError, mix_at_snr, read_wav, resample, rms, write_wav
-from .config import RunConfig, load_config, save_config
+from .audio import AudioClip, WavFormatError, mix_at_snr, read_wav, resample, rms, write_wav
+from .config import RunConfig, load_config
 from .dbn import (
     Dbn,
     ModelFormatError,
@@ -21,7 +21,6 @@ from .dbn import (
     free_energy,
     hidden_probs,
     load_model,
-    predict,
     pretrain_dbn,
     save_model,
     visible_recon,

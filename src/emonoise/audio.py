@@ -52,24 +52,6 @@ class AudioClip:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """How to corrupt one clean clip: target SNR plus the noise window choice.
-
-    ``noise_offset`` indexes into the noise recording, wrapping around if the
-    noise is shorter than the clean clip.
-    """
-
-    snr_db: float
-    noise_offset: int = 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        if self.noise_offset < 0:
-            raise ValueError("noise_offset must be nonnegative")
-
-
 def read_wav(path) -> AudioClip:
     """Read a PCM 16-bit RIFF/WAVE file into an AudioClip.
 
@@ -140,7 +122,7 @@ def write_wav(clip: AudioClip, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-        if len(payload) & 1:  # RIFF chunks are even-padded; unreachable for 16-bit
+        if len(payload) & 1:  # RIFF pads chunks to an even size; unreachable for 16-bit
             fh.write(b"\x00")
 
 
@@ -221,23 +203,28 @@ def noise_window(noise: AudioClip, length: int, offset: int) -> np.ndarray:
     return noise.samples[idx]
 
 
-def mix_at_snr(clean: AudioClip, noise: AudioClip, spec: MixSpec) -> AudioClip:
+def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float,
+               noise_offset: int = 0) -> AudioClip:
     """Add a gain-adjusted noise window to the clean clip at an exact SNR.
 
+    The window is the ``len(clean)`` noise samples starting at the
+    nonnegative ``noise_offset``, wrapping around if the noise is shorter.
     The gain g = rms(clean) / (rms(window) * 10^(snr_db/20)) makes
-    20*log10(rms(clean)/rms(g*window)) equal spec.snr_db up to float
-    rounding. Output has the clean clip's length and rate.
+    20*log10(rms(clean)/rms(g*window)) equal the finite ``snr_db`` up to
+    float rounding. Output has the clean clip's length and rate.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
     if clean.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError(
             f"sample rate mismatch: clean {clean.sample_rate_hz} Hz vs noise {noise.sample_rate_hz} Hz"
         )
-    window = noise_window(noise, len(clean), spec.noise_offset)
+    window = noise_window(noise, len(clean), noise_offset)
     clean_rms = rms(clean.samples)
     if clean_rms == 0.0:
         raise ValueError("clean clip is silent; SNR is undefined")
     window_rms = rms(window)
     if window_rms == 0.0:
         raise ValueError("selected noise window is silent; SNR is undefined")
-    gain = clean_rms / (window_rms * 10.0 ** (spec.snr_db / 20.0))
+    gain = clean_rms / (window_rms * 10.0 ** (snr_db / 20.0))
     return AudioClip(clean.samples + gain * window, clean.sample_rate_hz)

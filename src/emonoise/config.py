@@ -124,7 +124,6 @@ _SCHEMA = {
         "batch_size": ("train.batch_size", int),
         "epochs_pretrain": ("train.epochs_pretrain", int),
         "epochs_finetune": ("train.epochs_finetune", int),
-        "finetune_head_only": ("train.finetune_head_only", _to_bool),
     },
 }
 
@@ -204,8 +203,3 @@ def serialize_config(cfg: RunConfig) -> str:
             lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
     return "\n".join(lines)
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_config(cfg))

@@ -76,8 +76,7 @@ class TrainConfig:
 
     The paper leaves all of these open, so they are ordinary config: CD-1,
     momentum SGD with a small weight decay during pretraining, and plain
-    momentum SGD on cross-entropy for fine-tuning. ``finetune_head_only``
-    freezes the pretrained stack and trains just the softmax head.
+    momentum SGD on cross-entropy for fine-tuning of the whole stack.
     """
 
     cd_steps: int = 1
@@ -89,7 +88,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs_pretrain: int = 30
     epochs_finetune: int = 50
-    finetune_head_only: bool = False
 
     def __post_init__(self) -> None:
         if self.cd_steps < 1:
@@ -426,14 +424,6 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def predict(dbn: Dbn, x) -> int | np.ndarray:
-    """Most probable label; exact ties resolve to the lowest label index."""
-    probs = forward(dbn, x)
-    if probs.ndim == 1:
-        return int(np.argmax(probs))
-    return np.argmax(probs, axis=-1)
-
-
 def _loss_and_grads(dbn: Dbn, x2d: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient for every parameter.
 
@@ -494,9 +484,8 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
             _, d_layers, d_head = _loss_and_grads(tuned, x[idx], y[idx])
             steps = [(tuned.softmax_weights, vel_head[0], d_head[0]),
                      (tuned.softmax_bias, vel_head[1], d_head[1])]
-            if not cfg.finetune_head_only:
-                for rbm, (vw, vc), (dw, dc) in zip(tuned.rbms, vel_layers, d_layers):
-                    steps += [(rbm.weights, vw, dw), (rbm.hidden_bias, vc, dc)]
+            for rbm, (vw, vc), (dw, dc) in zip(tuned.rbms, vel_layers, d_layers):
+                steps += [(rbm.weights, vw, dw), (rbm.hidden_bias, vc, dc)]
             for param, velocity, grad in steps:
                 velocity *= cfg.momentum
                 grad *= lr

@@ -168,10 +168,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
         window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     else:
         window = np.ones(1)
-    padded = np.zeros((frames.shape[0], cfg.fft_size))
-    padded[:, :n] = emphasized * window
-
-    spectrum = np.fft.rfft(padded)
+    spectrum = np.fft.rfft(emphasized * window, n=cfg.fft_size)
     power = (spectrum.real**2 + spectrum.imag**2) / cfg.fft_size
     energies = power @ mel_filterbank(cfg, clip.sample_rate_hz).T
     return dct2(np.log(np.maximum(energies, cfg.log_floor)), cfg.n_ceps)

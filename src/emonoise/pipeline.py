@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import atomic_open
-from .audio import AudioClip, MixSpec, mix_at_snr, read_wav, resample
+from .audio import AudioClip, mix_at_snr, read_wav, resample
 from .config import RunConfig
 from .dbn import N_LABELS, Dbn, fine_tune, forward, load_model, pretrain_dbn, save_model
 from .dsp import mfcc, segment_features
@@ -97,8 +97,8 @@ class ManifestEntry:
     split: str = ""
 
 
-def build_manifest(clean_dir, label_rule=emodb_label_rule, speaker_rule=emodb_speaker_rule):
-    """One entry per WAV file under clean_dir, sorted by filename, untagged."""
+def build_manifest(clean_dir):
+    """One entry per Berlin-named WAV file under clean_dir, sorted by filename, untagged."""
     root = Path(clean_dir)
     if not root.is_dir():
         raise ValueError(f"clean_dir {clean_dir!r} is not a directory")
@@ -106,7 +106,7 @@ def build_manifest(clean_dir, label_rule=emodb_label_rule, speaker_rule=emodb_sp
     if not names:
         raise ValueError(f"no WAV files found under {clean_dir!r}")
     return [
-        ManifestEntry(str(root / name), label_rule(name), speaker_rule(name))
+        ManifestEntry(str(root / name), emodb_label_rule(name), emodb_speaker_rule(name))
         for name in names
     ]
 
@@ -247,8 +247,7 @@ def _segments(config: RunConfig, clip: AudioClip, name: str, noise: AudioClip | 
     scores do not depend on utterance order.
     """
     if noise is not None:
-        spec = MixSpec(snr_db, noise_offset_for(config.seed, name, len(noise)))
-        clip = mix_at_snr(clip, noise, spec)
+        clip = mix_at_snr(clip, noise, snr_db, noise_offset_for(config.seed, name, len(noise)))
     return segment_features(mfcc(clip, config.mfcc), config.segment)
 
 
@@ -329,11 +328,18 @@ def write_report(reports, path) -> None:
 
 
 def read_report(path):
+    """Rows of a report CSV as dicts; a malformed row is a ValueError naming its line."""
+    rows = []
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != REPORT_COLUMNS:
-        raise ValueError(f"{path}: not a report CSV (bad header)")
-    return [dict(zip(REPORT_COLUMNS, row)) for row in rows[1:]]
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != REPORT_COLUMNS:
+            raise ValueError(f"{path}: not a report CSV (bad header)")
+        for row in reader:
+            if len(row) != len(REPORT_COLUMNS):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(REPORT_COLUMNS)} fields, found {len(row)}")
+            rows.append(dict(zip(REPORT_COLUMNS, row)))
+    return rows
 
 
 # --- experiment stages -----------------------------------------------------
@@ -436,8 +442,8 @@ def _training_set(config: RunConfig, train_entries, noises=None):
 def _training_key(config: RunConfig, train_entries, noise_categories=None) -> str:
     """sha256 of the training split and every config field that train_model reads.
 
-    ``noise_categories`` are the resolved categories; they and the SNRs
-    count only when training on noisy speech.
+    ``noise_categories`` are the resolved categories; they, the noise
+    directory and the SNRs count only when training on noisy speech.
     """
     fields = {
         "train_split": [[e.path, int(e.label)] for e in train_entries],
@@ -450,6 +456,7 @@ def _training_key(config: RunConfig, train_entries, noise_categories=None) -> st
         "train_on_noisy": config.train_on_noisy,
     }
     if config.train_on_noisy:
+        fields["noise_dir"] = config.noise_dir
         fields["noise_categories"] = list(noise_categories)
         fields["snrs_db"] = list(config.snrs_db)
     return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()

@@ -216,8 +216,7 @@ def reference_finetune_grads(layers, head, mean, std, x, labels):
 def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
     """Momentum SGD on reference_finetune_grads, new arrays at every step.
 
-    Returns (layers, head) after epochs_finetune epochs; with
-    ``cfg.finetune_head_only`` the layers come back unchanged.
+    Returns (layers, head) after epochs_finetune epochs.
     """
     layers = list(layers)
     vel_layers = [(np.zeros_like(w), np.zeros_like(c)) for w, c in layers]
@@ -229,15 +228,14 @@ def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
             d_layers, d_head = reference_finetune_grads(
                 layers, head, mean, std, x[idx], labels[idx]
             )
-            if not cfg.finetune_head_only:
-                for i, ((w, c), (vw, vc), (dw, dc)) in enumerate(
-                    zip(layers, vel_layers, d_layers)
-                ):
-                    vw *= cfg.momentum
-                    vw -= lr * dw
-                    vc *= cfg.momentum
-                    vc -= lr * dc
-                    layers[i] = (w + vw, c + vc)
+            for i, ((w, c), (vw, vc), (dw, dc)) in enumerate(
+                zip(layers, vel_layers, d_layers)
+            ):
+                vw *= cfg.momentum
+                vw -= lr * dw
+                vc *= cfg.momentum
+                vc -= lr * dc
+                layers[i] = (w + vw, c + vc)
             vw, vb = vel_head
             vw *= cfg.momentum
             vw -= lr * d_head[0]

@@ -6,7 +6,6 @@ import pytest
 
 from emonoise.audio import (
     AudioClip,
-    MixSpec,
     WavFormatError,
     mix_at_snr,
     noise_window,
@@ -219,40 +218,39 @@ class TestMixAtSnr:
     def test_unit_gain_at_zero_db(self):
         clean = AudioClip(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
         noise = AudioClip(np.array([1.0, 1.0, 1.0, 1.0]), 16000)
-        out = mix_at_snr(clean, noise, MixSpec(snr_db=0.0))
+        out = mix_at_snr(clean, noise, 0.0)
         np.testing.assert_allclose(out.samples, clean.samples + noise.samples, atol=1e-15)
 
     def test_tenth_gain_at_twenty_db(self):
         clean = AudioClip(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
         noise = AudioClip(np.array([1.0, 1.0, 1.0, 1.0]), 16000)
-        out = mix_at_snr(clean, noise, MixSpec(snr_db=20.0))
+        out = mix_at_snr(clean, noise, 20.0)
         np.testing.assert_allclose(out.samples - clean.samples, 0.1 * noise.samples, atol=1e-15)
 
     def test_silent_noise_window_rejected(self):
         clean = AudioClip(np.ones(4), 16000)
         noise = AudioClip(np.zeros(4), 16000)
         with pytest.raises(ValueError, match="silent"):
-            mix_at_snr(clean, noise, MixSpec(snr_db=0.0))
+            mix_at_snr(clean, noise, 0.0)
 
     def test_silent_clean_rejected(self):
         clean = AudioClip(np.zeros(4), 16000)
         noise = AudioClip(np.ones(4), 16000)
         with pytest.raises(ValueError, match="silent"):
-            mix_at_snr(clean, noise, MixSpec(snr_db=0.0))
+            mix_at_snr(clean, noise, 0.0)
 
     def test_rate_mismatch_rejected(self):
         clean = AudioClip(np.ones(4), 16000)
         noise = AudioClip(np.ones(4), 48000)
         with pytest.raises(ValueError, match="mismatch"):
-            mix_at_snr(clean, noise, MixSpec(snr_db=0.0))
+            mix_at_snr(clean, noise, 0.0)
 
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 3.7, 10.0, 20.0])
     def test_achieved_snr_is_exact(self, snr_db):
         rng = np.random.default_rng(int(snr_db * 10) + 100)
         clean = AudioClip(rng.standard_normal(4000) * 0.2, 16000)
         noise = AudioClip(rng.standard_normal(6000) * 0.4, 16000)
-        spec = MixSpec(snr_db=snr_db, noise_offset=123)
-        out = mix_at_snr(clean, noise, spec)
+        out = mix_at_snr(clean, noise, snr_db, 123)
         added = out.samples - clean.samples
         achieved = 20.0 * np.log10(rms(clean.samples) / rms(added))
         assert abs(achieved - snr_db) < 1e-6
@@ -261,9 +259,8 @@ class TestMixAtSnr:
         rng = np.random.default_rng(5)
         clean = AudioClip(rng.standard_normal(500) * 0.1, 16000)
         noise = AudioClip(rng.standard_normal(800) * 0.1, 16000)
-        spec = MixSpec(snr_db=10.0, noise_offset=40)
-        a = mix_at_snr(clean, noise, spec)
-        b = mix_at_snr(clean, noise, spec)
+        a = mix_at_snr(clean, noise, 10.0, 40)
+        b = mix_at_snr(clean, noise, 10.0, 40)
         assert np.array_equal(a.samples, b.samples)
 
     def test_short_noise_wraps_around(self):
@@ -271,13 +268,26 @@ class TestMixAtSnr:
         noise = AudioClip(np.array([0.1, 0.2, 0.3]), 16000)
         window = noise_window(noise, 6, 1)
         np.testing.assert_allclose(window, [0.2, 0.3, 0.1, 0.2, 0.3, 0.1])
-        out = mix_at_snr(clean, noise, MixSpec(snr_db=0.0, noise_offset=1))
+        out = mix_at_snr(clean, noise, 0.0, 1)
         assert len(out) == len(clean)
 
     def test_output_length_matches_clean(self):
         clean = AudioClip(np.ones(100) * 0.3, 16000)
         noise = AudioClip(np.random.default_rng(1).standard_normal(5000) * 0.2, 16000)
-        assert len(mix_at_snr(clean, noise, MixSpec(snr_db=5.0, noise_offset=4000))) == 100
+        assert len(mix_at_snr(clean, noise, 5.0, 4000)) == 100
+
+    def test_rejects_negative_offset(self):
+        clean = AudioClip(np.ones(4), 16000)
+        noise = AudioClip(np.ones(4), 16000)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mix_at_snr(clean, noise, 0.0, -1)
+
+    def test_rejects_nonfinite_snr(self):
+        clean = AudioClip(np.ones(4), 16000)
+        noise = AudioClip(np.ones(4), 16000)
+        for snr_db in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                mix_at_snr(clean, noise, snr_db)
 
 
 class TestAudioClip:
@@ -288,11 +298,3 @@ class TestAudioClip:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros(4), 0)
-
-    def test_rejects_negative_offset(self):
-        with pytest.raises(ValueError):
-            MixSpec(snr_db=0.0, noise_offset=-1)
-
-    def test_rejects_nonfinite_snr(self):
-        with pytest.raises(ValueError):
-            MixSpec(snr_db=float("inf"))

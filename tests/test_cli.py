@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from emonoise.cli import dispatch, main, parse_args
-from emonoise.config import RunConfig, load_config, save_config, serialize_config
+from emonoise.config import _SCHEMA, RunConfig, load_config, serialize_config
 
 
 class TestParseArgs:
@@ -115,7 +117,7 @@ class TestConfigFile:
         )
         first = load_config(cfg_file)
         out_file = tmp_path / "round.cfg"
-        save_config(first, out_file)
+        out_file.write_text(serialize_config(first))
         second = load_config(out_file)
         assert first == second
         assert second.snrs_db == (-5.0, 0.0, 12.5)
@@ -132,6 +134,16 @@ class TestConfigFile:
         text = serialize_config(RunConfig())
         for section in ("[pipeline]", "[audio]", "[dsp]", "[dbn]"):
             assert section in text
+
+    def test_every_settable_field_has_exactly_one_key(self):
+        nested = ("mfcc", "segment", "train")
+        config = RunConfig()
+        settable = {f.name for f in fields(config) if f.name not in nested}
+        for block in nested:
+            settable |= {f"{block}.{f.name}" for f in fields(getattr(config, block))}
+        targets = [target for keys in _SCHEMA.values() for target, _ in keys.values()]
+        assert len(targets) == len(set(targets))
+        assert set(targets) == settable
 
 
 @pytest.fixture()
@@ -184,6 +196,15 @@ class TestDispatch:
         assert main(["report", "--work-dir", str(work)]) == 1
         assert "error" in capsys.readouterr().err
         assert not work.exists()
+
+    def test_report_with_malformed_row_exits_one(self, tmp_path, capsys):
+        (tmp_path / "report.csv").write_text(
+            "condition,snr_db,segment_accuracy,utterance_accuracy,"
+            "clean_utterance_accuracy,delta_percent,band\nclean,,0.5\n\n"
+        )
+        assert main(["report", "--work-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2: expected 7 fields, found 3" in err
 
     def test_train_on_malformed_manifest_exits_one(self, tmp_path, capsys):
         (tmp_path / "manifest.csv").write_text("path,label,speaker,split\nx.wav,ANGRY,03,train\n")

@@ -401,6 +401,18 @@ class TestReportCsv:
         with pytest.raises(ValueError, match="header"):
             read_report(path)
 
+    @pytest.mark.parametrize("body, line, found", [
+        ("clean,,0.5\n", 2, 3),
+        ("clean,,0.9,0.9,0.9,0.0,<10\n\n", 3, 0),
+        ("clean,,0.9,0.9,0.9,0.0,<10,extra\n", 2, 8),
+    ], ids=["short", "blank", "long"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, body, line, found):
+        path = tmp_path / "report.csv"
+        path.write_text(",".join(pipeline.REPORT_COLUMNS) + "\n" + body)
+        with pytest.raises(ValueError, match=f"report.csv, line {line}: expected 7 fields, "
+                                             f"found {found}"):
+            read_report(path)
+
 
 class TestExperimentStages:
     def test_missing_noise_category_fails_before_training(self, tmp_path, tone_corpus):
@@ -465,7 +477,10 @@ class TestExperimentStages:
         )
         train_model(config)
         # settings training never reads leave the model usable
-        evaluate_experiment(replace(config, snrs_db=(5.0, 10.0), delta_mode="absolute"))
+        other_noise = tmp_path / "other_noise"
+        shutil.copytree(noise_dir, other_noise)
+        evaluate_experiment(replace(config, snrs_db=(5.0, 10.0), delta_mode="absolute",
+                                    noise_dir=str(other_noise)))
         for stale in (
             replace(config, mfcc=replace(config.mfcc, hop=80)),
             replace(config, mfcc=replace(config.mfcc, fmax_hz=4000.0)),
@@ -474,6 +489,23 @@ class TestExperimentStages:
         ):
             with pytest.raises(ValueError, match="run the train stage"):
                 evaluate_experiment(stale)
+
+    def test_noisy_model_refused_under_another_noise_dir(self, tmp_path, tone_corpus):
+        clean_dir, noise_dir = tone_corpus
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0,), train_on_noisy=True, hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        train_model(config)
+        evaluate_experiment(config)
+        # the same category name holding different noise
+        other_white = tmp_path / "other_noise" / "white"
+        other_white.mkdir(parents=True)
+        noise = 0.1 * np.random.default_rng(5).standard_normal(16000)
+        write_wav(AudioClip(noise, 16000), other_white / "ch01.wav")
+        with pytest.raises(ValueError, match="run the train stage"):
+            evaluate_experiment(replace(config, noise_dir=str(other_white.parent)))
 
     def test_model_trained_on_another_split_is_refused(self, tmp_path, tone_corpus):
         clean_dir, noise_dir = tone_corpus
