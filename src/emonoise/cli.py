@@ -11,7 +11,8 @@ Each setting flag stands for one config-file key, and its text is converted
 by ``config.apply_settings`` exactly as that key's value in a file would be.
 
 Exit codes: 0 success, 1 domain error (bad paths, malformed data), 2 usage
-error. Progress goes to stderr; only ``report --print`` writes to stdout.
+error. Progress goes to stderr, a few lines per stage (``evaluate`` writes one
+for all its conditions); only ``report --print`` writes to stdout.
 """
 
 from __future__ import annotations

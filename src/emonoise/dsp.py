@@ -66,9 +66,9 @@ class SegmentConfig:
 def frame_signal(samples, frame_len: int, hop: int) -> np.ndarray:
     """Slice a signal into frames starting at 0, hop, 2*hop, ...
 
-    Returns an (n_frames, frame_len) array; the tail that does not fill a
-    whole frame is dropped (no zero padding). Shorter-than-one-frame input
-    yields zero frames.
+    Returns a new (n_frames, frame_len) array that the caller owns; the
+    tail that does not fill a whole frame is dropped (no zero padding).
+    Shorter-than-one-frame input yields zero frames.
     """
     if frame_len < 1 or hop < 1:
         raise ValueError("frame_len and hop must be at least 1")
@@ -154,14 +154,13 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
 
     Raises ValueError when the clip is shorter than one frame.
     """
-    frames = frame_signal(clip.samples, cfg.frame_len, cfg.hop)
-    if frames.shape[0] == 0:
+    emphasized = frame_signal(clip.samples, cfg.frame_len, cfg.hop)
+    if emphasized.shape[0] == 0:
         raise ValueError(
             f"clip of {len(clip)} samples is shorter than one frame ({cfg.frame_len})"
         )
-    # pre-emphasis within each frame; the frame's first sample is kept as is
-    emphasized = frames.copy()
-    emphasized[:, 1:] -= cfg.preemph * frames[:, :-1]
+    # per-frame pre-emphasis, first sample kept; the right side is built before the subtraction
+    emphasized[:, 1:] -= cfg.preemph * emphasized[:, :-1]
 
     n = cfg.frame_len
     if n > 1:

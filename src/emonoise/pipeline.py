@@ -2,9 +2,10 @@
 
 The reference protocol trains on clean speech only, evaluates the clean
 baseline plus every configured noise category x SNR on the test split, and
-reports the clean-vs-noisy accuracy difference per condition. Utterance
-labels come from majority vote over segment predictions; segment-level
-accuracy is reported alongside.
+reports the clean-vs-noisy accuracy difference per condition. Evaluation is
+one pass over the test split: each utterance is loaded once and scored under
+every condition before the next is read. Utterance labels come from majority
+vote over segment predictions; segment-level accuracy is reported alongside.
 
 The stages hand over files in the work directory, which only prepare
 creates: manifest.csv, model.dbn with its model.key and report.csv, each
@@ -182,6 +183,8 @@ def read_manifest(path):
                 raise ValueError(f"{where}: expected 4 fields, found {len(row)}")
             if row[1].upper() not in Label.__members__:
                 raise ValueError(f"{where}: unknown label {row[1]!r}")
+            if row[3] not in ("train", "test"):
+                raise ValueError(f"{where}: split {row[3]!r} is neither 'train' nor 'test'")
             entries.append(ManifestEntry(row[0], Label[row[1].upper()], row[2], row[3]))
     return entries
 
@@ -251,69 +254,55 @@ def _segments(config: RunConfig, clip: AudioClip, name: str, noise: AudioClip | 
     return segment_features(mfcc(clip, config.mfcc), config.segment)
 
 
-def evaluate(
-    model: Dbn,
-    entries,
-    clips: dict[str, AudioClip],
-    config: RunConfig,
-    *,
-    condition: str = CLEAN_CONDITION,
-    noise: AudioClip | None = None,
-    snr_db: float | None = None,
-    clean_accuracy: float | None = None,
-) -> EvalReport:
-    """Score a test split under one condition.
+def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
+    """Score a test split under clean and every noise condition, in one pass.
 
-    ``clips`` holds each entry's audio at the pipeline rate, keyed by path.
-    With ``noise``, every utterance is mixed with it at ``snr_db``. When
-    ``clean_accuracy`` is None this run is itself the baseline.
+    ``noises`` maps each category to its clip at the pipeline rate. Reports
+    come clean first, then each category in ``noises`` order at every SNR in
+    ascending order; each delta is taken against the clean accuracy. Each
+    utterance is loaded once and scored under every condition.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate an empty test split")
-    confusion = np.zeros((N_LABELS, N_LABELS), dtype=np.int64)
-    seg_hits = 0
-    seg_total = 0
+    conditions = [(CLEAN_CONDITION, None, None)]
+    conditions += [(c, noise, snr) for c, noise in noises.items() for snr in sorted(config.snrs_db)]
+    confusions = np.zeros((len(conditions), N_LABELS, N_LABELS), dtype=np.int64)
+    seg_hits = [0] * len(conditions)
+    seg_totals = [0] * len(conditions)
     for entry in entries:
-        segments = _segments(config, clips[entry.path], Path(entry.path).name, noise, snr_db)
-        preds = np.argmax(forward(model, segments), axis=-1)
-        seg_hits += int(np.sum(preds == int(entry.label)))
-        seg_total += preds.size
-        confusion[int(entry.label), majority_vote(preds)] += 1
+        clip = _load_clip(config, entry.path)
+        for i, (_, noise, snr_db) in enumerate(conditions):
+            segments = _segments(config, clip, Path(entry.path).name, noise, snr_db)
+            preds = np.argmax(forward(model, segments), axis=-1)
+            seg_hits[i] += int(np.sum(preds == int(entry.label)))
+            seg_totals[i] += preds.size
+            confusions[i, int(entry.label), majority_vote(preds)] += 1
 
-    total = confusion.sum()
-    assert total == len(entries)
-    utterance_acc = float(np.trace(confusion)) / total
-    baseline = utterance_acc if clean_accuracy is None else clean_accuracy
-    if clean_accuracy is None:
-        delta = 0.0  # this run is the baseline; its delta is zero by definition
-    elif config.delta_mode == "relative":
-        delta = accuracy_delta(baseline, utterance_acc)
-    else:
-        delta = 100.0 * (baseline - utterance_acc)
-    return EvalReport(
-        condition=condition,
-        snr_db=snr_db,
-        segment_accuracy=seg_hits / seg_total,
-        utterance_accuracy=utterance_acc,
-        clean_accuracy=baseline,
-        delta_percent=delta,
-        band=band(delta),
-        confusion=confusion,
-    )
+    reports = []
+    for i, (condition, _, snr_db) in enumerate(conditions):
+        utterance_acc = float(np.trace(confusions[i])) / len(entries)
+        if i == 0:  # the clean baseline; its delta is 0 even at zero accuracy
+            clean_acc, delta = utterance_acc, 0.0
+        elif config.delta_mode == "relative":
+            delta = accuracy_delta(clean_acc, utterance_acc)
+        else:
+            delta = 100.0 * (clean_acc - utterance_acc)
+        reports.append(EvalReport(
+            condition=condition, snr_db=snr_db, segment_accuracy=seg_hits[i] / seg_totals[i],
+            utterance_accuracy=utterance_acc, clean_accuracy=clean_acc, delta_percent=delta,
+            band=band(delta), confusion=confusions[i],
+        ))
+    return reports
 
 
 def write_report(reports, path) -> None:
     """Report CSV: clean row first (empty snr_db), then by condition and SNR."""
-    clean_rows = [r for r in reports if r.condition == CLEAN_CONDITION]
-    noisy_rows = sorted(
-        (r for r in reports if r.condition != CLEAN_CONDITION),
-        key=lambda r: (r.condition, r.snr_db),
-    )
+    ordered = sorted(reports, key=lambda r: (r.condition != CLEAN_CONDITION, r.condition, r.snr_db))
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for r in clean_rows + noisy_rows:
+        for r in ordered:
             writer.writerow(
                 [
                     r.condition,
@@ -328,17 +317,39 @@ def write_report(reports, path) -> None:
 
 
 def read_report(path):
-    """Rows of a report CSV as dicts; a malformed row is a ValueError naming its line."""
+    """Rows of a report CSV as dicts of strings; a malformed row is a ValueError naming its line.
+
+    Only the first row is clean and has no snr_db; every number is finite,
+    every accuracy in [0, 1] and every band one of ``band``'s names.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != REPORT_COLUMNS:
             raise ValueError(f"{path}: not a report CSV (bad header)")
-        for row in reader:
-            if len(row) != len(REPORT_COLUMNS):
-                raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                 f"{len(REPORT_COLUMNS)} fields, found {len(row)}")
-            rows.append(dict(zip(REPORT_COLUMNS, row)))
+        for line in reader:
+            at = f"{path}, line {reader.line_num}"
+            if len(line) != len(REPORT_COLUMNS):
+                raise ValueError(f"{at}: expected {len(REPORT_COLUMNS)} fields, found {len(line)}")
+            row = dict(zip(REPORT_COLUMNS, line))
+            if (row["condition"] == CLEAN_CONDITION, row["snr_db"] == "") != (not rows, not rows):
+                want = "a noise row with an snr_db" if rows else "the clean row, with no snr_db"
+                raise ValueError(f"{at}: expected {want}")
+            # snr_db (the clean row has none), the three accuracies and delta_percent
+            for column in REPORT_COLUMNS[1 if rows else 2 : 6]:
+                low, high = (0.0, 1.0) if column.endswith("accuracy") else (-math.inf, math.inf)
+                try:
+                    valid = math.isfinite(float(row[column])) and low <= float(row[column]) <= high
+                except ValueError:
+                    valid = False
+                if not valid:
+                    raise ValueError(f"{at}: {column} {row[column]!r} is not a finite "
+                                     f"number in [{low:g}, {high:g}]")
+            if row["band"] not in ("improved", "<10", "10-20", "20-30", ">=30"):
+                raise ValueError(f"{at}: unknown band {row['band']!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}, line 2: no condition rows")
     return rows
 
 
@@ -513,21 +524,9 @@ def evaluate_experiment(config: RunConfig, progress=None) -> Path:
                          "config (mfcc, segment, sample rate, hidden sizes, training or noise "
                          "settings); run the train stage again")
     model = load_model(model_file)
-
-    clips = {e.path: _load_clip(config, e.path) for e in test_entries}
-    log(f"evaluating clean baseline on {len(test_entries)} utterances")
-    clean_report = evaluate(model, test_entries, clips, config)
-    reports = [clean_report]
-    for category in categories:
-        noise = load_noise(config, category)
-        for snr in sorted(config.snrs_db):
-            log(f"evaluating {category} at {snr:g} dB")
-            reports.append(
-                evaluate(
-                    model, test_entries, clips, config, condition=category, noise=noise,
-                    snr_db=snr, clean_accuracy=clean_report.utterance_accuracy,
-                )
-            )
+    log(f"evaluating {len(test_entries)} utterances: clean and {len(categories)} noise "
+        f"categories x {len(config.snrs_db)} SNRs")
+    reports = evaluate(model, test_entries, config, {c: load_noise(config, c) for c in categories})
     path = report_path(config)
     write_report(reports, path)
     log(f"report -> {path}")

@@ -206,6 +206,15 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 2: expected 7 fields, found 3" in err
 
+    def test_report_without_a_valid_clean_row_exits_one(self, tmp_path, capsys):
+        (tmp_path / "report.csv").write_text(
+            "condition,snr_db,segment_accuracy,utterance_accuracy,"
+            "clean_utterance_accuracy,delta_percent,band\nwhite,abc,x,y,z,w,??\n"
+        )
+        assert main(["report", "--work-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2: expected the clean row" in err
+
     def test_train_on_malformed_manifest_exits_one(self, tmp_path, capsys):
         (tmp_path / "manifest.csv").write_text("path,label,speaker,split\nx.wav,ANGRY,03,train\n")
         assert main(["train", "--work-dir", str(tmp_path)]) == 1

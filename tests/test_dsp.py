@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,22 @@ class TestMfcc:
     def test_too_short_clip_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             mfcc(AudioClip(np.zeros(100), 16000), MfccConfig())
+
+    def test_peak_memory_is_a_few_frame_matrices(self):
+        # mfcc runs once per (utterance, condition); each extra frame-sized copy
+        # is memory the allocator may hand back to the OS and fault in again
+        cfg = MfccConfig()
+        clip = AudioClip(np.random.default_rng(7).uniform(-1, 1, 32000), 16000)
+        mfcc(clip, cfg)  # builds the cached filterbank and DCT matrix outside the trace
+        frame_bytes = frame_signal(clip.samples, cfg.frame_len, cfg.hop).nbytes
+        assert frame_bytes == 198 * 400 * 8
+        tracemalloc.start()
+        try:
+            mfcc(clip, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * frame_bytes
 
     def test_scaling_shifts_rows_by_constant_dct(self):
         cfg = MfccConfig()

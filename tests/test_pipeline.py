@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emonoise import pipeline
-from emonoise.audio import AudioClip, read_wav, write_wav
+from emonoise.audio import AudioClip, write_wav
 from emonoise.config import RunConfig
 from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig, fit_standardization
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
@@ -170,7 +170,8 @@ class TestManifestCsv:
 
     @pytest.mark.parametrize(
         "row,problem",
-        [("03a01Wa.wav,anger,03", "expected 4 fields"), ("03a01Wa.wav,angry,03,train", "'angry'")],
+        [("03a01Wa.wav,anger,03", "expected 4 fields"), ("03a01Wa.wav,angry,03,train", "'angry'"),
+         ("03a01Wa.wav,anger,03,tset", "split 'tset'")],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
         path = tmp_path / "manifest.csv"
@@ -270,10 +271,6 @@ def constant_predictor(label: int, n_in=13):
     return Dbn([rbm], np.zeros((4, 7)), bias, input_mean=np.zeros(n_in), input_std=np.ones(n_in))
 
 
-def load_clips(entries):
-    return {e.path: read_wav(e.path) for e in entries}
-
-
 def make_test_entries(tmp_path, labelled_names):
     entries = []
     for i, (name, label) in enumerate(labelled_names):
@@ -289,7 +286,7 @@ class TestEvaluate:
             [("01a01Wa.wav", Label.ANGER), ("02a01Wa.wav", Label.ANGER),
              ("03a01Fa.wav", Label.JOY)],
         )
-        report = evaluate(constant_predictor(Label.ANGER), entries, load_clips(entries), RunConfig())
+        report = evaluate(constant_predictor(Label.ANGER), entries, RunConfig(), {})[0]
         assert report.utterance_accuracy == pytest.approx(2 / 3)
         assert report.confusion[Label.ANGER, Label.ANGER] == 2
         assert report.confusion[Label.JOY, Label.ANGER] == 1
@@ -301,7 +298,7 @@ class TestEvaluate:
             [("01a01Wa.wav", Label.ANGER), ("02a01Fa.wav", Label.JOY),
              ("03a01Na.wav", Label.NEUTRAL), ("04a01Ta.wav", Label.SADNESS)],
         )
-        report = evaluate(constant_predictor(Label.JOY), entries, load_clips(entries), RunConfig())
+        report = evaluate(constant_predictor(Label.JOY), entries, RunConfig(), {})[0]
         assert report.utterance_accuracy == pytest.approx(1 / 4)
         assert report.segment_accuracy == pytest.approx(1 / 4)
 
@@ -311,8 +308,7 @@ class TestEvaluate:
             [("01a01Wa.wav", Label.ANGER), ("02a01Wa.wav", Label.ANGER),
              ("03a01Fa.wav", Label.JOY), ("04a01Na.wav", Label.NEUTRAL)],
         )
-        report = evaluate(constant_predictor(Label.DISGUST), entries, load_clips(entries),
-                          RunConfig())
+        report = evaluate(constant_predictor(Label.DISGUST), entries, RunConfig(), {})[0]
         np.testing.assert_array_equal(
             report.confusion.sum(axis=1),
             [2, 0, 0, 0, 1, 1, 0],
@@ -326,25 +322,42 @@ class TestEvaluate:
         )
         noise = AudioClip(0.2 * np.random.default_rng(9).standard_normal(8000), 16000)
         model = constant_predictor(Label.ANGER)
-        clips = load_clips(entries)
-        forward_report = evaluate(model, entries, clips, RunConfig(), condition="white",
-                                  noise=noise, snr_db=0.0)
-        reverse_report = evaluate(model, list(reversed(entries)), clips, RunConfig(),
-                                  condition="white", noise=noise, snr_db=0.0)
+        config = RunConfig(snrs_db=(0.0,))
+        forward_report = evaluate(model, entries, config, {"white": noise})[1]
+        reverse_report = evaluate(model, list(reversed(entries)), config, {"white": noise})[1]
         assert forward_report.utterance_accuracy == reverse_report.utterance_accuracy
         assert forward_report.segment_accuracy == reverse_report.segment_accuracy
         np.testing.assert_array_equal(forward_report.confusion, reverse_report.confusion)
 
     def test_clean_condition_is_its_own_baseline(self, tmp_path):
         entries = make_test_entries(tmp_path, [("01a01Wa.wav", Label.ANGER)])
-        report = evaluate(constant_predictor(Label.ANGER), entries, load_clips(entries), RunConfig())
+        report = evaluate(constant_predictor(Label.ANGER), entries, RunConfig(), {})[0]
         assert report.clean_accuracy == report.utterance_accuracy
         assert report.delta_percent == 0.0
         assert report.band == "<10"
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(constant_predictor(0), [], {}, RunConfig())
+            evaluate(constant_predictor(0), [], RunConfig(), {})
+
+    def test_conditions_come_clean_first_then_each_category_by_snr(self, tmp_path):
+        entries = make_test_entries(
+            tmp_path,
+            [("01a01Wa.wav", Label.ANGER), ("02a01Fa.wav", Label.JOY)],
+        )
+        rng = np.random.default_rng(10)
+        noises = {name: AudioClip(0.2 * rng.standard_normal(8000), 16000)
+                  for name in ("white", "babble")}
+        reports = evaluate(constant_predictor(Label.ANGER), entries,
+                           RunConfig(snrs_db=(10.0, 0.0)), noises)
+        assert [(r.condition, r.snr_db) for r in reports] == [
+            ("clean", None), ("white", 0.0), ("white", 10.0), ("babble", 0.0), ("babble", 10.0),
+        ]
+        assert all(r.clean_accuracy == reports[0].utterance_accuracy for r in reports)
+        assert reports[0].delta_percent == 0.0
+
+
+CLEAN_ROW = "clean,,0.9,0.9,0.9,0.0,<10\n"
 
 
 def dummy_report(condition, snr, acc, clean_acc):
@@ -412,6 +425,41 @@ class TestReportCsv:
         with pytest.raises(ValueError, match=f"report.csv, line {line}: expected 7 fields, "
                                              f"found {found}"):
             read_report(path)
+
+    @pytest.mark.parametrize("body, line, problem", [
+        ("", 2, "no condition rows"),
+        ("white,0.000000,0.5,0.5,0.9,44.4,>=30\n", 2, "expected the clean row"),
+        ("clean,0.000000,0.9,0.9,0.9,0.0,<10\n", 2, "expected the clean row"),
+        (CLEAN_ROW + "clean,,0.9,0.9,0.9,0.0,<10\n", 3, "expected a noise row"),
+        (CLEAN_ROW + "white,,0.5,0.5,0.9,44.4,>=30\n", 3, "expected a noise row"),
+        (CLEAN_ROW + "white,abc,0.5,0.5,0.9,44.4,>=30\n", 3, "snr_db 'abc' is not a finite"),
+        (CLEAN_ROW + "white,inf,0.5,0.5,0.9,44.4,>=30\n", 3, "snr_db 'inf' is not a finite"),
+        (CLEAN_ROW + "white,0.000000,0.5,0.5,0.9,nan,>=30\n", 3, "delta_percent 'nan'"),
+        ("clean,,0.9,0.9,0.9,x,<10\n", 2, "delta_percent 'x'"),
+        ("clean,,1.5,0.9,0.9,0.0,<10\n", 2, r"segment_accuracy '1.5' is not .* in \[0, 1\]"),
+        (CLEAN_ROW + "white,0.000000,0.5,-0.1,0.9,44.4,>=30\n", 3, "utterance_accuracy '-0.1'"),
+        ("clean,,0.9,0.9,,0.0,<10\n", 2, "clean_utterance_accuracy ''"),
+        ("clean,,0.9,0.9,0.9,0.0,??\n", 2, r"unknown band '\?\?'"),
+    ], ids=["no_rows", "noise_first", "clean_with_snr", "second_clean", "noise_without_snr",
+            "snr_text", "snr_inf", "delta_nan", "delta_text", "accuracy_above_one",
+            "accuracy_negative", "accuracy_empty", "unknown_band"])
+    def test_invalid_row_names_file_and_line(self, tmp_path, body, line, problem):
+        path = tmp_path / "report.csv"
+        path.write_text(",".join(pipeline.REPORT_COLUMNS) + "\n" + body)
+        with pytest.raises(ValueError, match=f"report.csv, line {line}: {problem}"):
+            read_report(path)
+
+    def test_every_band_reads_back(self, tmp_path):
+        path = tmp_path / "report.csv"
+        accs = {"improved": 0.9, "<10": 0.75, "10-20": 0.7, "20-30": 0.6, ">=30": 0.4}
+        write_report([dummy_report("clean", None, 0.8, 0.8)]
+                     + [dummy_report(name, 0.0, acc, 0.8) for name, acc in accs.items()], path)
+        assert sorted(row["band"] for row in read_report(path)[1:]) == sorted(accs)
+        # the band is that of the unrounded delta: 9.999999999999998 prints as 10.000000
+        write_report([dummy_report("clean", None, 1.0, 1.0), dummy_report("white", 0.0, 0.9, 1.0)],
+                     path)
+        assert read_report(path)[1]["delta_percent"] == "10.000000"
+        assert read_report(path)[1]["band"] == "<10"
 
 
 class TestExperimentStages:
