@@ -14,14 +14,19 @@ arrays in place (an ``RbmState`` per RBM during pretraining, a working copy
 of the network during fine-tuning) and freezes them into ``Rbm``/``Dbn``
 values once, at the end. The returned models are never written again, so
 they are safe for concurrent read-only inference.
+
+Training arithmetic runs in float32: the ``RbmState`` buffers, the CD
+statistics and the fine-tuning working copy. Everything that leaves the
+module is float64: ``freeze`` and ``fine_tune`` upcast once, so the trained
+``Rbm``/``Dbn`` values, the ``DBN1`` file format, ``forward`` and the
+standardization are float64 (the trained parameters are float32-representable).
 """
 
 from __future__ import annotations
 
-import copy
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +57,7 @@ def sigmoid(x) -> np.ndarray:
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
-    """Overwrite the float64 array ``z`` with sigmoid(z); one scratch buffer."""
+    """Overwrite the floating array ``z`` with sigmoid(z) in its own dtype; one scratch buffer."""
     den = np.empty_like(z)
     np.abs(z, out=den)
     np.negative(den, out=den)
@@ -104,9 +109,18 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
 
 
+def _param_array(x) -> np.ndarray:
+    """``x`` as a parameter array: float32 stays float32, anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class Rbm:
-    """One energy-model layer: weights (n_visible, n_hidden) plus biases."""
+    """One energy-model layer: weights (n_visible, n_hidden) plus biases.
+
+    Parameters are float64, except in the float32 copies training makes.
+    """
 
     weights: np.ndarray
     visible_bias: np.ndarray
@@ -114,9 +128,7 @@ class Rbm:
     visible_kind: str = BERNOULLI
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        vb = np.asarray(self.visible_bias, dtype=np.float64)
-        hb = np.asarray(self.hidden_bias, dtype=np.float64)
+        w, vb, hb = (_param_array(p) for p in (self.weights, self.visible_bias, self.hidden_bias))
         if w.ndim != 2 or vb.shape != (w.shape[0],) or hb.shape != (w.shape[1],):
             raise ValueError("inconsistent RBM parameter shapes")
         if not (np.isfinite(w).all() and np.isfinite(vb).all() and np.isfinite(hb).all()):
@@ -136,12 +148,20 @@ class Rbm:
         return self.weights.shape[1]
 
 
+def _float32_copy(rbm: Rbm) -> Rbm:
+    f32 = np.float32
+    return Rbm(rbm.weights.astype(f32), rbm.visible_bias.astype(f32), rbm.hidden_bias.astype(f32),
+               visible_kind=rbm.visible_kind)
+
+
 @dataclass
 class Dbn:
     """Stacked RBMs plus a softmax head and the input standardization.
 
     ``input_mean``/``input_std`` hold the per-dimension z-score parameters
-    fitted on training features.
+    fitted on training features. The head and the standardization must be
+    finite and every ``input_std`` entry positive, so a model can never
+    score every input as NaN.
     """
 
     rbms: list[Rbm]
@@ -159,16 +179,22 @@ class Dbn:
                 raise ValueError(f"RBM {i} must have {expected} visible units")
             if i and rbm.n_visible != self.rbms[i - 1].n_hidden:
                 raise ValueError("adjacent RBM layer sizes do not chain")
-        self.softmax_weights = np.asarray(self.softmax_weights, dtype=np.float64)
-        self.softmax_bias = np.asarray(self.softmax_bias, dtype=np.float64)
+        self.softmax_weights = _param_array(self.softmax_weights)
+        self.softmax_bias = _param_array(self.softmax_bias)
         top = self.rbms[-1].n_hidden
         if self.softmax_weights.shape != (top, self.softmax_bias.shape[0]):
             raise ValueError("softmax head does not match the top RBM layer")
+        if not (np.isfinite(self.softmax_weights).all() and np.isfinite(self.softmax_bias).all()):
+            raise ValueError("softmax head must be finite")
         for name in ("input_mean", "input_std"):
-            val = np.asarray(getattr(self, name), dtype=np.float64)
+            val = _param_array(getattr(self, name))
             if val.shape != (self.rbms[0].n_visible,):
                 raise ValueError(f"{name} must have one entry per input dimension")
+            if not np.isfinite(val).all():
+                raise ValueError(f"{name} must be finite")
             setattr(self, name, val)
+        if not (self.input_std > 0).all():
+            raise ValueError("input_std must be positive")
 
     @property
     def n_labels(self) -> int:
@@ -176,19 +202,20 @@ class Dbn:
 
 
 class RbmState:
-    """The mutable training copy of an Rbm, advanced in place by cd_update.
+    """The mutable float32 training copy of an Rbm, advanced in place by cd_update.
 
     Holds the parameters, their momentum buffers and two weight-sized
-    scratch buffers for the CD statistics, so a training step allocates no
-    weight-sized array. The Rbm it is made from is never written;
-    ``freeze`` returns the current parameters as a new, validated Rbm.
+    scratch buffers for the CD statistics, all float32, so a training step
+    allocates no weight-sized array. The Rbm it is made from is never
+    written; ``freeze`` returns the current parameters as a new, validated
+    float64 Rbm.
     """
 
     def __init__(self, rbm: Rbm) -> None:
         self.visible_kind = rbm.visible_kind
-        self.weights = rbm.weights.copy()
-        self.visible_bias = rbm.visible_bias.copy()
-        self.hidden_bias = rbm.hidden_bias.copy()
+        self.weights = rbm.weights.astype(np.float32)
+        self.visible_bias = rbm.visible_bias.astype(np.float32)
+        self.hidden_bias = rbm.hidden_bias.astype(np.float32)
         self.velocity_weights = np.zeros_like(self.weights)
         self.velocity_visible_bias = np.zeros_like(self.visible_bias)
         self.velocity_hidden_bias = np.zeros_like(self.hidden_bias)
@@ -204,13 +231,18 @@ class RbmState:
         return self.weights.shape[1]
 
     def freeze(self) -> Rbm:
-        return Rbm(self.weights.copy(), self.visible_bias.copy(), self.hidden_bias.copy(),
-                   visible_kind=self.visible_kind)
+        f64 = np.float64
+        return Rbm(self.weights.astype(f64), self.visible_bias.astype(f64),
+                   self.hidden_bias.astype(f64), visible_kind=self.visible_kind)
 
 
 def hidden_probs(rbm: Rbm | RbmState, v) -> np.ndarray:
-    """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W). Accepts a batch."""
-    v = np.asarray(v, dtype=np.float64)
+    """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W). Accepts a batch.
+
+    Computes in the dtype of the layer's weights: float32 during training,
+    float64 for a trained Rbm.
+    """
+    v = np.asarray(v, dtype=rbm.weights.dtype)
     if v.shape[-1] != rbm.n_visible:
         raise ValueError(f"visible vector has {v.shape[-1]} entries, want {rbm.n_visible}")
     pre = v @ rbm.weights
@@ -223,9 +255,9 @@ def visible_recon(rbm: Rbm | RbmState, h) -> np.ndarray:
 
     Bernoulli units give probabilities sigmoid(visible_bias + h @ W.T);
     Gaussian units give the mean visible_bias + h @ W.T of the unit-variance
-    model.
+    model. Computes in the layer's dtype, as hidden_probs does.
     """
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h, dtype=rbm.weights.dtype)
     if h.shape[-1] != rbm.n_hidden:
         raise ValueError(f"hidden vector has {h.shape[-1]} entries, want {rbm.n_hidden}")
     pre = h @ rbm.weights.T
@@ -252,7 +284,9 @@ def free_energy(rbm: Rbm, v) -> float | np.ndarray:
 
 
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return (rng.random(probs.shape) < probs).astype(np.float64)
+    # draws float64 whatever the dtype of probs: a float32 draw would consume
+    # another random stream
+    return (rng.random(probs.shape) < probs).astype(probs.dtype)
 
 
 def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator) -> float:
@@ -266,7 +300,7 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     the momentum buffers, which are then added to the parameters. Returns
     the mean squared error between v0 and the first reconstruction.
     """
-    v0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    v0 = np.atleast_2d(np.asarray(batch, dtype=state.weights.dtype))
     if v0.shape[0] == 0:
         raise ValueError("cd_update needs a nonempty batch")
     if v0.shape[1] != state.n_visible:
@@ -369,7 +403,9 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     width, e.g. the paper's (1000, 1000, 2000); the input width is that of
     ``data``. Each RBM is trained on the deterministic hidden probabilities
     of the one below it; the softmax head over N_LABELS classes is randomly
-    initialized (seeded normal, sd 0.01). ``seed`` fixes every draw.
+    initialized (seeded normal, sd 0.01). ``seed`` fixes every draw. The
+    standardized rows are cast to float32 once, and each layer's
+    activations are computed in float32 from the layer below.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -381,10 +417,10 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
 
     rng = np.random.default_rng(seed)
     rbms: list[Rbm] = []
-    activations = (data - mean) / std
+    activations = ((data - mean) / std).astype(np.float32)
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
         if rbms:
-            activations = hidden_probs(rbms[-1], activations)
+            activations = hidden_probs(_float32_copy(rbms[-1]), activations)
         kind = GAUSSIAN if i == 0 else BERNOULLI
         rbm = _init_rbm(n_vis, n_hid, kind, rng)
         rbms.append(train_rbm(rbm, activations, cfg, rng))
@@ -460,10 +496,12 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
 
     ``data`` holds raw feature vectors (the Dbn's standardization is applied
     inside the forward pass); ``labels`` are integer class indices; ``seed``
-    fixes the minibatch order. Returns a new network; the input is
-    untouched.
+    fixes the minibatch order. The loop runs on a float32 copy of the
+    weights, hidden biases, head and standardization. Returns a new float64
+    network whose trained parameters are that copy upcast and whose visible
+    biases and standardization are the input's; the input is untouched.
     """
-    x = np.asarray(data, dtype=np.float64)
+    x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("fine-tuning data must be a nonempty 2-D array")
@@ -473,7 +511,12 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
         raise ValueError(f"labels must lie in [0, {dbn.n_labels - 1}]")
 
     # the working copy whose arrays the loop below updates in place
-    tuned = copy.deepcopy(dbn)
+    f32 = np.float32
+    tuned = Dbn(
+        [_float32_copy(r) for r in dbn.rbms],
+        dbn.softmax_weights.astype(f32), dbn.softmax_bias.astype(f32),
+        input_mean=dbn.input_mean.astype(f32), input_std=dbn.input_std.astype(f32),
+    )
     vel_layers = [(np.zeros_like(r.weights), np.zeros_like(r.hidden_bias)) for r in tuned.rbms]
     vel_head = (np.zeros_like(tuned.softmax_weights), np.zeros_like(tuned.softmax_bias))
 
@@ -491,8 +534,14 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
                 grad *= lr
                 velocity -= grad
                 param += velocity
-    # rebuilding each Rbm re-checks that training left the weights finite
-    return replace(tuned, rbms=[replace(r) for r in tuned.rbms])
+    # rebuilding re-checks that training left the weights and the head finite
+    f64 = np.float64
+    return Dbn(
+        [Rbm(t.weights.astype(f64), r.visible_bias, t.hidden_bias.astype(f64),
+             visible_kind=r.visible_kind) for r, t in zip(dbn.rbms, tuned.rbms)],
+        tuned.softmax_weights.astype(f64), tuned.softmax_bias.astype(f64),
+        input_mean=dbn.input_mean, input_std=dbn.input_std,
+    )
 
 
 def _pack_f64(arr: np.ndarray) -> bytes:

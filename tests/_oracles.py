@@ -2,7 +2,9 @@
 
 Everything here is deliberately brute force (matrix DFT, exhaustive state
 enumeration, central finite differences) and shares no code with the
-implementations it verifies.
+implementations it verifies. The sigmoid, CD and fine-tuning references
+compute in the dtype of the arrays they are given, so they check the
+float32 trainer when given float32 arrays.
 """
 
 import math
@@ -119,7 +121,7 @@ def central_difference(fn, array, epsilon=1e-5):
 
 def reference_sigmoid(x):
     """Two-branch logistic: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
         from_pos = 1.0 / (1.0 + np.exp(-x))
         ex = np.exp(x)
@@ -132,10 +134,11 @@ def reference_cd_update(params, velocity, gaussian, batch, cfg, rng):
 
     ``params`` is (W, visible bias, hidden bias); ``velocity`` is the same
     triple of momentum buffers, updated in place. Returns the new params and
-    the mean squared error of the first reconstruction.
+    the mean squared error of the first reconstruction. Computes in the dtype
+    of W; samples are drawn as float64 uniforms whatever that dtype.
     """
     w, b, c = params
-    v0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    v0 = np.atleast_2d(np.asarray(batch, dtype=w.dtype))
     n = v0.shape[0]
     lr = cfg.learning_rate_pretrain_gaussian if gaussian else cfg.learning_rate_pretrain
 
@@ -147,7 +150,7 @@ def reference_cd_update(params, velocity, gaussian, batch, cfg, rng):
         return pre if gaussian else reference_sigmoid(pre)
 
     def sample(p):
-        return (rng.random(p.shape) < p).astype(np.float64)
+        return (rng.random(p.shape) < p).astype(p.dtype)
 
     p0 = up(v0)
     h = sample(p0)

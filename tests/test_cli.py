@@ -1,9 +1,11 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from emonoise.cli import dispatch, main, parse_args
 from emonoise.config import _SCHEMA, RunConfig, load_config, serialize_config
+from emonoise.dbn import load_model, save_model
 
 
 class TestParseArgs:
@@ -220,6 +222,20 @@ class TestDispatch:
         assert main(["train", "--work-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown label 'ANGRY'" in err
+
+    def test_evaluate_with_nonfinite_model_exits_one(self, tiny_run_args, capsys):
+        extra, work = tiny_run_args
+        assert main(["prepare", *extra]) == 0
+        assert main(["train", *extra]) == 0
+        model = load_model(work / "model.dbn")
+        model.softmax_weights[0, 0] = np.nan
+        model.input_std = np.zeros_like(model.input_std)
+        save_model(model, work / "model.dbn")
+        capsys.readouterr()
+        assert main(["evaluate", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "softmax head must be finite" in err
+        assert not (work / "report.csv").exists()
 
     def test_evaluate_without_model_exits_one(self, tiny_run_args, capsys):
         extra, work = tiny_run_args

@@ -150,6 +150,16 @@ def rbm_params(rbm):
     return rbm.weights, rbm.visible_bias, rbm.hidden_bias
 
 
+def as_f32(arrays):
+    """The float32 casts training starts from."""
+    return tuple(np.asarray(a, dtype=np.float32) for a in arrays)
+
+
+def rounded(a):
+    """``a`` after the float32 round trip an untrained parameter makes."""
+    return np.asarray(a).astype(np.float32).astype(np.float64)
+
+
 def assert_params_equal(rbm, params):
     for got, want in zip(rbm_params(rbm), params):
         np.testing.assert_array_equal(got, want)
@@ -162,7 +172,7 @@ class TestCdUpdate:
                           weight_decay=0.0)
         state = RbmState(rbm)
         cd_update(state, binary_states(4)[:5], cfg, np.random.default_rng(0))
-        assert_params_equal(state.freeze(), rbm_params(rbm))
+        assert_params_equal(state.freeze(), [rounded(p) for p in rbm_params(rbm)])
         assert not state.velocity_weights.any() and not state.velocity_hidden_bias.any()
 
     def test_repeated_call_is_bit_identical(self):
@@ -230,14 +240,14 @@ class TestCdUpdate:
         cfg = TrainConfig(cd_steps=cd_steps, learning_rate_pretrain=0.3,
                           learning_rate_pretrain_gaussian=0.05)
         state = RbmState(rbm)
-        params = rbm_params(rbm)
+        params = as_f32(rbm_params(rbm))
         velocity = tuple(np.zeros_like(p) for p in params)
         rng_new, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
         for step in range(4):
             batch = data[2 * step : 2 * step + 3]
             err = cd_update(state, batch, cfg, rng_new)
             params, want_err = reference_cd_update(
-                params, velocity, kind == GAUSSIAN, batch, cfg, rng_ref
+                params, velocity, kind == GAUSSIAN, batch.astype(np.float32), cfg, rng_ref
             )
             assert err == want_err
             assert_params_equal(state, params)
@@ -254,8 +264,8 @@ class TestTrainRbm:
         cfg = TrainConfig(epochs_pretrain=3, batch_size=4, cd_steps=2)
         before = [p.copy() for p in rbm_params(rbm)]
         trained = train_rbm(rbm, data, cfg, np.random.default_rng(43))
-        want = reference_train_rbm(rbm_params(rbm), kind == GAUSSIAN, data, cfg,
-                                   np.random.default_rng(43))
+        want = reference_train_rbm(as_f32(rbm_params(rbm)), kind == GAUSSIAN,
+                                   data.astype(np.float32), cfg, np.random.default_rng(43))
         assert isinstance(trained, Rbm) and trained.visible_kind == kind
         assert_params_equal(trained, want)
         assert_params_equal(rbm, before)
@@ -318,7 +328,9 @@ class TestPretrain:
         model = pretrain_dbn(data, [8, 8, 16], cfg, seed=99)
         replay = np.random.default_rng(99)
         for rbm, (nv, nh) in zip(model.rbms, [(13, 8), (8, 8), (8, 16)]):
-            np.testing.assert_array_equal(rbm.weights, 0.01 * replay.standard_normal((nv, nh)))
+            np.testing.assert_array_equal(
+                rbm.weights, rounded(0.01 * replay.standard_normal((nv, nh)))
+            )
             assert not rbm.visible_bias.any() and not rbm.hidden_bias.any()
         np.testing.assert_array_equal(
             model.softmax_weights, 0.01 * replay.standard_normal((16, 7))
@@ -388,9 +400,9 @@ class TestFineTune:
         y = np.arange(10) % 7
         tuned = fine_tune(model, x, y, TrainConfig(epochs_finetune=0), seed=0)
         for before, after in zip(model.rbms, tuned.rbms):
-            np.testing.assert_array_equal(before.weights, after.weights)
-        np.testing.assert_array_equal(model.softmax_weights, tuned.softmax_weights)
-        np.testing.assert_array_equal(model.softmax_bias, tuned.softmax_bias)
+            np.testing.assert_array_equal(rounded(before.weights), after.weights)
+        np.testing.assert_array_equal(rounded(model.softmax_weights), tuned.softmax_weights)
+        np.testing.assert_array_equal(rounded(model.softmax_bias), tuned.softmax_bias)
 
     def test_gradients_match_finite_differences(self):
         model = small_dbn(seed=15)
@@ -452,9 +464,9 @@ class TestFineTune:
         cfg = TrainConfig(epochs_finetune=4, batch_size=8, learning_rate_finetune=0.5)
         tuned = fine_tune(model, x, y, cfg, seed=26)
         layers, head = reference_fine_tune(
-            [(r.weights, r.hidden_bias) for r in model.rbms],
-            (model.softmax_weights, model.softmax_bias),
-            model.input_mean, model.input_std, x, y, cfg, 26,
+            [as_f32((r.weights, r.hidden_bias)) for r in model.rbms],
+            as_f32((model.softmax_weights, model.softmax_bias)),
+            *as_f32((model.input_mean, model.input_std, x)), y, cfg, 26,
         )
         assert isinstance(tuned, Dbn)
         for rbm, (w, c) in zip(tuned.rbms, layers):
@@ -551,6 +563,35 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(path)
 
+    @pytest.mark.parametrize("name, index, value, message", [
+        ("softmax_weights", (0, 0), np.nan, "softmax head must be finite"),
+        ("softmax_bias", 3, np.inf, "softmax head must be finite"),
+        ("input_mean", 1, np.nan, "input_mean must be finite"),
+        ("input_std", 2, 0.0, "input_std must be positive"),
+        ("input_std", 0, -1.0, "input_std must be positive"),
+        ("input_std", 3, np.inf, "input_std must be finite"),
+    ])
+    def test_nonfinite_head_or_standardization_rejected(self, tmp_path, name, index, value,
+                                                        message):
+        # forward would score every row NaN, and argmax would label it 0
+        model = small_dbn(seed=45)
+        getattr(model, name)[index] = value
+        path = tmp_path / "bad.dbn"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_trained_model_round_trips_bit_exact(self, tmp_path):
+        data = np.random.default_rng(46).standard_normal((24, 4))
+        cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
+        model = fine_tune(pretrain_dbn(data, [5, 6], cfg, seed=47), data, np.arange(24) % 7,
+                          cfg, seed=48)
+        path = tmp_path / "trained.dbn"
+        save_model(model, path)
+        blob = path.read_bytes()
+        save_model(load_model(path), path)
+        assert path.read_bytes() == blob
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.dbn"
         save_model(small_dbn(seed=43), path)
@@ -564,6 +605,46 @@ class TestPersistence:
             save_model(small_dbn(seed=44), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.dbn"]
+
+
+def assert_float64_from_float32(arrays):
+    for a in arrays:
+        assert a.dtype == np.float64
+        np.testing.assert_array_equal(rounded(a), a)
+
+
+class TestFloat32Training:
+    """Training state is float32; every Rbm and Dbn training returns is float64."""
+
+    def test_state_is_float32(self):
+        state = RbmState(random_rbm(5, 4, seed=50))
+        buffers = [state.weights, state.visible_bias, state.hidden_bias, state.velocity_weights,
+                   state.velocity_visible_bias, state.velocity_hidden_bias, state.grad,
+                   state.scratch]
+        assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
+
+    def test_train_rbm_returns_float64(self):
+        trained = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
+                            TrainConfig(epochs_pretrain=2, batch_size=4),
+                            np.random.default_rng(53))
+        assert_float64_from_float32(rbm_params(trained))
+
+    def test_pretrain_and_fine_tune_return_float64(self):
+        data = np.random.default_rng(54).standard_normal((20, 4))
+        cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
+        pretrained = pretrain_dbn(data, [5, 6], cfg, seed=55)
+        tuned = fine_tune(pretrained, data, np.arange(20) % 7, cfg, seed=56)
+        for model in (pretrained, tuned):
+            assert_float64_from_float32([a for r in model.rbms for a in rbm_params(r)])
+        # pretraining draws the head in float64 and leaves it untrained
+        assert pretrained.softmax_weights.dtype == np.float64
+        assert_float64_from_float32([tuned.softmax_weights, tuned.softmax_bias])
+        # the standardization is fitted and kept in float64, never rounded
+        mean, std = fit_standardization(data)
+        for model in (pretrained, tuned):
+            np.testing.assert_array_equal(model.input_mean, mean)
+            np.testing.assert_array_equal(model.input_std, std)
+        assert forward(tuned, data).dtype == np.float64
 
 
 class TestConfigValidation:
