@@ -54,6 +54,12 @@ class RunConfig:
             raise ValueError("sample_rate_hz must be positive")
         if not self.snrs_db or not all(math.isfinite(snr) for snr in self.snrs_db):
             raise ValueError("snrs_db must be a nonempty list of finite values")
+        # a repeat would score one condition twice
+        for name in ("snrs_db", "noise_categories"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} lists {', '.join(map(str, repeated))} more than once")
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValueError("hidden_sizes must be a nonempty list of sizes of at least 1")
 

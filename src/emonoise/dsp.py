@@ -1,10 +1,18 @@
 """MFCC front end: framing, power spectrum, mel filterbank, cepstral transform.
 
 The pipeline per frame is: pre-emphasis, Hamming window, zero-pad to the
-FFT size, power spectrum (``np.fft.rfft``), triangular mel filterbank, log
-with a floor, orthonormal DCT-II keeping the first ``n_ceps`` coefficients
-(C0 kept). Frame rows are then averaged into fixed-length segments for the
-classifier.
+FFT size, ``np.fft.rfft`` (``frame_spectra``), power through the triangular
+mel filterbank (``mel_energies``), log with a floor and the orthonormal
+DCT-II keeping the first ``n_ceps`` coefficients, C0 kept (``cepstra``).
+``mfcc`` is their composition. Frame rows are then averaged into
+fixed-length segments for the classifier.
+
+Everything up to the spectra is linear in the samples: pre-emphasis is a
+linear filter, the window a fixed per-sample weight and the DFT linear
+(Oppenheim & Schafer, *Discrete-Time Signal Processing*). So the spectra
+of clean + g*w are S_clean + g*S_w, and a caller that has the spectra of a
+signal and of one of its mixtures can derive the mel energies of every
+rescaled mixture without another FFT.
 
 Everything is a pure function; extracting features for distinct utterances
 can run in parallel without coordination.
@@ -149,15 +157,16 @@ def dct2(v, n_out: int) -> np.ndarray:
     return x @ _dct2_matrix(n, n_out).T
 
 
-def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Per-frame MFCC rows for a clip, shape (n_frames, n_ceps).
+def frame_spectra(samples, cfg: MfccConfig) -> np.ndarray:
+    """Complex ``rfft`` of each pre-emphasized, Hamming-windowed frame.
 
-    Raises ValueError when the clip is shorter than one frame.
+    Shape (n_frames, fft_size/2 + 1). Raises ValueError when the signal is
+    shorter than one frame.
     """
-    emphasized = frame_signal(clip.samples, cfg.frame_len, cfg.hop)
+    emphasized = frame_signal(samples, cfg.frame_len, cfg.hop)
     if emphasized.shape[0] == 0:
         raise ValueError(
-            f"clip of {len(clip)} samples is shorter than one frame ({cfg.frame_len})"
+            f"clip of {len(samples)} samples is shorter than one frame ({cfg.frame_len})"
         )
     # per-frame pre-emphasis, first sample kept; the right side is built before the subtraction
     emphasized[:, 1:] -= cfg.preemph * emphasized[:, :-1]
@@ -167,10 +176,32 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
         window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     else:
         window = np.ones(1)
-    spectrum = np.fft.rfft(emphasized * window, n=cfg.fft_size)
-    power = (spectrum.real**2 + spectrum.imag**2) / cfg.fft_size
-    energies = power @ mel_filterbank(cfg, clip.sample_rate_hz).T
+    return np.fft.rfft(emphasized * window, n=cfg.fft_size)
+
+
+def mel_energies(a, b, cfg: MfccConfig, sample_rate_hz: int) -> np.ndarray:
+    """Mel-filtered cross power M Re(a conj(b)) / fft_size of two frame-spectra arrays.
+
+    With ``b`` equal to ``a`` this is each frame's mel filterbank energy.
+    It is bilinear, so the energies of a + r*d follow from those of the pairs
+    (a, a), (a, d) and (d, d) for any real r.
+    """
+    cross = (a.real * b.real + a.imag * b.imag) / cfg.fft_size
+    return cross @ mel_filterbank(cfg, sample_rate_hz).T
+
+
+def cepstra(energies, cfg: MfccConfig) -> np.ndarray:
+    """MFCC rows from mel energies: log with a floor, then the DCT-II over the last axis."""
     return dct2(np.log(np.maximum(energies, cfg.log_floor)), cfg.n_ceps)
+
+
+def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Per-frame MFCC rows for a clip, shape (n_frames, n_ceps).
+
+    Raises ValueError when the clip is shorter than one frame.
+    """
+    spectra = frame_spectra(clip.samples, cfg)
+    return cepstra(mel_energies(spectra, spectra, cfg, clip.sample_rate_hz), cfg)
 
 
 def segment_features(frames, scfg: SegmentConfig = SegmentConfig()) -> np.ndarray:

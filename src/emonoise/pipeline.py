@@ -11,10 +11,13 @@ The stages hand over files in the work directory, which only prepare
 creates: manifest.csv, model.dbn with its model.key and report.csv, each
 replaced atomically. model.key holds a hash of the training split and the
 config fields training read, and evaluation refuses a model whose key does
-not match the current manifest and config. Training and evaluation turn an
-utterance into segment vectors through one function, ``_segments``, which
-mixes in the condition's noise, if any, and computes MFCC segment means
-from the WAV under the current config; features are never cached.
+not match the current manifest and config. Features are computed from the
+WAVs under the current config and never cached. Training turns each
+utterance into MFCC segment means through ``_segments``, which mixes in one
+noise at one SNR when training on noisy speech. Evaluation needs every
+condition of each utterance, so ``_condition_segments`` transforms the
+utterance once and one time-domain mixture per noise category, and derives
+the other SNRs from those spectra (see ``evaluate``).
 Training hands the raw segment vectors and the master seed to ``dbn``,
 which fits, stores and applies the input standardization itself.
 """
@@ -36,7 +39,7 @@ from ._files import atomic_open
 from .audio import AudioClip, mix_at_snr, read_wav, resample
 from .config import RunConfig
 from .dbn import N_LABELS, Dbn, fine_tune, forward, load_model, pretrain_dbn, save_model
-from .dsp import mfcc, segment_features
+from .dsp import cepstra, frame_spectra, mel_energies, mfcc, segment_features
 
 
 class Label(IntEnum):
@@ -254,33 +257,76 @@ def _segments(config: RunConfig, clip: AudioClip, name: str, noise: AudioClip | 
     return segment_features(mfcc(clip, config.mfcc), config.segment)
 
 
+def _condition_segments(config: RunConfig, clip: AudioClip, name: str, noises,
+                        snrs_db) -> np.ndarray:
+    """Segment vectors of one utterance under every condition, shape (conditions, segments, n_ceps).
+
+    Conditions come clean first, then each category in ``noises`` order at
+    every SNR of the ascending ``snrs_db``. Each category's noise window is
+    the one ``_segments`` would take; ``evaluate`` says why deriving every
+    SNR from the mixture at ``snrs_db[0]`` is exact.
+    """
+    cfg = config.mfcc
+    rate = clip.sample_rate_hz
+    clean = frame_spectra(clip.samples, cfg)
+    e_clean = mel_energies(clean, clean, cfg, rate)[:, None, :]
+    ratios = 10.0 ** ((snrs_db[0] - np.asarray(snrs_db)) / 20.0)[:, None]
+    energies = [e_clean]
+    for noise in noises.values():
+        mix = mix_at_snr(clip, noise, snrs_db[0], noise_offset_for(config.seed, name, len(noise)))
+        diff = frame_spectra(mix.samples, cfg) - clean
+        e_cross = mel_energies(clean, diff, cfg, rate)[:, None, :]
+        e_diff = mel_energies(diff, diff, cfg, rate)[:, None, :]
+        energies.append(e_clean + 2.0 * ratios * e_cross + ratios**2 * e_diff)
+    # (frames, conditions, n_mels): each frame row holds every condition, so one
+    # segment_features call averages all of them
+    energies = np.concatenate(energies, axis=1)
+    n_frames, n_conditions, n_mels = energies.shape
+    ceps = cepstra(energies.reshape(-1, n_mels), cfg).reshape(n_frames, -1)
+    segments = segment_features(ceps, config.segment)
+    return segments.reshape(len(segments), n_conditions, -1).transpose(1, 0, 2)
+
+
 def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
     """Score a test split under clean and every noise condition, in one pass.
 
     ``noises`` maps each category to its clip at the pipeline rate. Reports
     come clean first, then each category in ``noises`` order at every SNR in
-    ascending order; each delta is taken against the clean accuracy. Each
-    utterance is loaded once and scored under every condition.
+    ascending order; each delta is taken against the clean accuracy.
+
+    Each utterance is loaded once and framed and transformed once (spectra
+    S_clean). ``mix_at_snr`` then mixes each category in at the lowest SNR
+    s0 only, and that mixture is transformed too: D = S_mix - S_clean is the
+    spectrum of the gain-scaled noise window, because pre-emphasis, the
+    window and the DFT are linear. The gain at SNR s is r = 10^((s0 - s)/20)
+    times the gain at s0, so that mixture's spectra are S_clean + r*D and its
+    mel energies E_clean + 2r*E_cross + r^2*E_diff (``dsp.mel_energies``):
+    exact up to float rounding, with no further FFT. Because s0 is the
+    lowest SNR, r <= 1, so the rounding error D carries is scaled down,
+    never up; the features agree with per-SNR time-domain mixtures to about
+    1e-13. One ``forward`` call then classifies every condition's segments.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate an empty test split")
-    conditions = [(CLEAN_CONDITION, None, None)]
-    conditions += [(c, noise, snr) for c, noise in noises.items() for snr in sorted(config.snrs_db)]
+    snrs_db = sorted(config.snrs_db)
+    conditions = [(CLEAN_CONDITION, None)] + [(c, snr) for c in noises for snr in snrs_db]
     confusions = np.zeros((len(conditions), N_LABELS, N_LABELS), dtype=np.int64)
-    seg_hits = [0] * len(conditions)
-    seg_totals = [0] * len(conditions)
+    seg_hits = np.zeros(len(conditions), dtype=np.int64)
+    seg_total = 0  # the same for every condition
     for entry in entries:
         clip = _load_clip(config, entry.path)
-        for i, (_, noise, snr_db) in enumerate(conditions):
-            segments = _segments(config, clip, Path(entry.path).name, noise, snr_db)
-            preds = np.argmax(forward(model, segments), axis=-1)
-            seg_hits[i] += int(np.sum(preds == int(entry.label)))
-            seg_totals[i] += preds.size
-            confusions[i, int(entry.label), majority_vote(preds)] += 1
+        segments = _condition_segments(config, clip, Path(entry.path).name, noises, snrs_db)
+        probs = forward(model, segments.reshape(-1, segments.shape[-1]))
+        preds = np.argmax(probs, axis=-1).reshape(len(conditions), -1)
+        label = int(entry.label)
+        seg_hits += np.sum(preds == label, axis=1)
+        seg_total += preds.shape[1]
+        for i, condition_preds in enumerate(preds):
+            confusions[i, label, majority_vote(condition_preds)] += 1
 
     reports = []
-    for i, (condition, _, snr_db) in enumerate(conditions):
+    for i, (condition, snr_db) in enumerate(conditions):
         utterance_acc = float(np.trace(confusions[i])) / len(entries)
         if i == 0:  # the clean baseline; its delta is 0 even at zero accuracy
             clean_acc, delta = utterance_acc, 0.0
@@ -289,7 +335,7 @@ def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]
         else:
             delta = 100.0 * (clean_acc - utterance_acc)
         reports.append(EvalReport(
-            condition=condition, snr_db=snr_db, segment_accuracy=seg_hits[i] / seg_totals[i],
+            condition=condition, snr_db=snr_db, segment_accuracy=int(seg_hits[i]) / seg_total,
             utterance_accuracy=utterance_acc, clean_accuracy=clean_acc, delta_percent=delta,
             band=band(delta), confusion=confusions[i],
         ))
@@ -384,12 +430,20 @@ def resolve_noise_categories(config: RunConfig) -> list[str]:
 
 
 def load_noise(config: RunConfig, category: str) -> AudioClip:
-    """First WAV (sorted) of a category, channel 0, at the pipeline rate."""
+    """First WAV (sorted) of a category, channel 0, at the pipeline rate.
+
+    A file with no samples at that rate is refused: no noise window can be
+    cut from it.
+    """
     folder = Path(config.noise_dir) / category
     candidates = sorted(p for p in folder.iterdir() if p.suffix.lower() == ".wav")
     if not candidates:
         raise ValueError(f"noise category {category!r} contains no WAV files")
-    return _load_clip(config, str(candidates[0]))
+    clip = _load_clip(config, str(candidates[0]))
+    if len(clip) == 0:
+        raise ValueError(f"noise file {candidates[0]} has no samples at "
+                         f"{config.sample_rate_hz} Hz")
+    return clip
 
 
 def manifest_path(config: RunConfig) -> Path:

@@ -4,12 +4,21 @@ Everything here is deliberately brute force (matrix DFT, exhaustive state
 enumeration, central finite differences) and shares no code with the
 implementations it verifies. The sigmoid, CD and fine-tuning references
 compute in the dtype of the arrays they are given, so they check the
-float32 trainer when given float32 arrays.
+float32 trainer when given float32 arrays. The evaluation reference is the
+exception: it checks the spectral-domain mixing of ``pipeline.evaluate``
+against the time-domain path, so it is built from ``mix_at_snr``, ``mfcc``,
+``segment_features`` and ``forward``, which other tests verify.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
+
+from emonoise.audio import mix_at_snr, read_wav
+from emonoise.dbn import N_LABELS, forward
+from emonoise.dsp import mfcc, segment_features
+from emonoise.pipeline import noise_offset_for
 
 
 def reference_resample(x, source, target, ns):
@@ -246,3 +255,42 @@ def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
             vb -= lr * d_head[1]
             head = (head[0] + vw, head[1] + vb)
     return layers, head
+
+
+def reference_condition_segments(config, clip, name, noises):
+    """Segment vectors of one utterance under every condition, one array each.
+
+    Clean first, then each category in ``noises`` order at every SNR in
+    ascending order; each noisy condition is its own time-domain mixture.
+    """
+    out = [segment_features(mfcc(clip, config.mfcc), config.segment)]
+    for noise in noises.values():
+        offset = noise_offset_for(config.seed, name, len(noise))
+        for snr_db in sorted(config.snrs_db):
+            mixed = mix_at_snr(clip, noise, snr_db, offset)
+            out.append(segment_features(mfcc(mixed, config.mfcc), config.segment))
+    return out
+
+
+def reference_evaluate(model, entries, config, noises):
+    """Per-condition confusions and segment accuracies, one ``forward`` call per condition.
+
+    The entries' WAVs must be at the pipeline rate. Returns (confusions of
+    shape (conditions, 7, 7), [segment accuracy per condition]); each
+    utterance's label is the most frequent segment label, ties to the lowest.
+    """
+    confusions = hits = totals = None
+    for entry in entries:
+        clip = read_wav(entry.path)
+        assert clip.sample_rate_hz == config.sample_rate_hz
+        per_condition = reference_condition_segments(config, clip, Path(entry.path).name, noises)
+        if confusions is None:
+            confusions = np.zeros((len(per_condition), N_LABELS, N_LABELS), dtype=np.int64)
+            hits, totals = [0] * len(per_condition), [0] * len(per_condition)
+        for i, segments in enumerate(per_condition):
+            preds = np.argmax(forward(model, segments), axis=-1)
+            hits[i] += int(np.sum(preds == int(entry.label)))
+            totals[i] += preds.size
+            vote = int(np.argmax(np.bincount(preds, minlength=N_LABELS)))
+            confusions[i, int(entry.label), vote] += 1
+    return confusions, [h / t for h, t in zip(hits, totals)]

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from emonoise.audio import AudioClip, write_wav
 from emonoise.cli import dispatch, main, parse_args
 from emonoise.config import _SCHEMA, RunConfig, load_config, serialize_config
 from emonoise.dbn import load_model, save_model
@@ -99,13 +100,27 @@ class TestParseArgs:
         "flag,text",
         [("--seed", "x"), ("--snrs", "0,abc"), ("--split-strategy", "bogus"),
          ("--hidden-sizes", ""), ("--snrs", "nan"), ("--snrs", "0,inf"),
-         ("--hidden-sizes", "0")],
+         ("--hidden-sizes", "0"), ("--snrs", "0,10,0"), ("--snrs", "0,-0"),
+         ("--categories", "white,pink,white")],
     )
     def test_bad_flag_value_exits_two(self, flag, text, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", flag, text])
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, repeated", [
+        ("[audio]\nsnrs_db = 0, 10, 0\n", "snrs_db lists 0.0 more than once"),
+        ("[pipeline]\nnoise_categories = white, pink, white\n",
+         "noise_categories lists white more than once"),
+    ], ids=["snrs_db", "noise_categories"])
+    def test_repeated_config_value_exits_two(self, tmp_path, text, repeated, capsys):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert repeated in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -235,6 +250,16 @@ class TestDispatch:
         assert main(["evaluate", *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "softmax head must be finite" in err
+        assert not (work / "report.csv").exists()
+
+    def test_empty_noise_file_exits_one(self, tiny_run_args, tmp_path, capsys):
+        extra, work = tiny_run_args
+        empty = tmp_path / "noise" / "silence" / "ch01.wav"
+        empty.parent.mkdir(parents=True)
+        write_wav(AudioClip(np.zeros(0), 16000), empty)
+        assert main(["run", *extra, "--noise-dir", str(tmp_path / "noise")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: noise file {empty} has no samples at 16000 Hz"
         assert not (work / "report.csv").exists()
 
     def test_evaluate_without_model_exits_one(self, tiny_run_args, capsys):

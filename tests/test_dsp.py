@@ -10,9 +10,12 @@ from emonoise.audio import AudioClip
 from emonoise.dsp import (
     MfccConfig,
     SegmentConfig,
+    cepstra,
     dct2,
     frame_signal,
+    frame_spectra,
     hz_to_mel,
+    mel_energies,
     mel_filterbank,
     mel_to_hz,
     mfcc,
@@ -257,7 +260,7 @@ class TestMfcc:
             mfcc(AudioClip(np.zeros(100), 16000), MfccConfig())
 
     def test_peak_memory_is_a_few_frame_matrices(self):
-        # mfcc runs once per (utterance, condition); each extra frame-sized copy
+        # mfcc runs once per training utterance; each extra frame-sized copy
         # is memory the allocator may hand back to the OS and fault in again
         cfg = MfccConfig()
         clip = AudioClip(np.random.default_rng(7).uniform(-1, 1, 32000), 16000)
@@ -271,6 +274,26 @@ class TestMfcc:
         finally:
             tracemalloc.stop()
         assert peak < 4 * frame_bytes
+
+    def test_composes_spectra_energies_and_cepstra(self):
+        cfg = MfccConfig()
+        rng = np.random.default_rng(5)
+        x, w = rng.uniform(-1, 1, 8000), rng.uniform(-1, 1, 8000)
+        spectra = frame_spectra(x, cfg)
+        np.testing.assert_array_equal(
+            cepstra(mel_energies(spectra, spectra, cfg, 16000), cfg), mfcc(AudioClip(x, 16000), cfg)
+        )
+        # the spectra are linear in the samples and the energies bilinear in the spectra
+        diff = frame_spectra(x + 0.3 * w, cfg) - spectra
+        np.testing.assert_allclose(diff, 0.3 * frame_spectra(w, cfg), rtol=0.0, atol=1e-12)
+        mixed = spectra + 0.5 * diff
+        np.testing.assert_allclose(
+            mel_energies(mixed, mixed, cfg, 16000),
+            mel_energies(spectra, spectra, cfg, 16000)
+            + 2 * 0.5 * mel_energies(spectra, diff, cfg, 16000)
+            + 0.5**2 * mel_energies(diff, diff, cfg, 16000),
+            rtol=1e-12,
+        )
 
     def test_scaling_shifts_rows_by_constant_dct(self):
         cfg = MfccConfig()

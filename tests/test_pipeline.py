@@ -1,4 +1,5 @@
 import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from emonoise.audio import AudioClip, write_wav
 from emonoise.config import RunConfig
 from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig, fit_standardization
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
-from conftest import build_tone_corpus
+from _oracles import reference_condition_segments, reference_evaluate
+from conftest import EMOTION_LETTERS, build_tone_corpus, tone_utterance
 from emonoise.pipeline import (
     EvalReport,
     Label,
@@ -357,6 +359,97 @@ class TestEvaluate:
         assert reports[0].delta_percent == 0.0
 
 
+def write_tone_entries(tmp_path, labels, seed=20):
+    """Test entries whose WAVs are tone utterances of the given labels, 0.6 s at 16 kHz."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i, label in enumerate(labels):
+        path = tmp_path / f"{i + 1:02d}a01{EMOTION_LETTERS[label]}a.wav"
+        write_wav(tone_utterance(int(label), rng), path)
+        entries.append(ManifestEntry(str(path), Label(label), path.name[:2], "test"))
+    return entries
+
+
+def two_noises(n_samples, seed=11):
+    rng = np.random.default_rng(seed)
+    hum = 0.1 * np.sin(2 * np.pi * 120.0 * np.arange(n_samples) / 16000)
+    return {"white": AudioClip(0.2 * rng.standard_normal(n_samples), 16000),
+            "hum": AudioClip(hum + 0.02 * rng.standard_normal(n_samples), 16000)}
+
+
+class TestSpectralMixing:
+    """evaluate derives every SNR from one time-domain mixture per category."""
+
+    @pytest.mark.parametrize("snrs_db, noise_samples", [
+        ((10.0, -5.0, 0.0, 3.5), 3000),  # unsorted and negative; noise shorter than the clip
+        ((0.0,), 20000),
+        ((20.0, -10.0), 9600),  # noise as long as the clip: the window wraps unless at offset 0
+    ])
+    def test_segments_match_time_domain_reference(self, snrs_db, noise_samples):
+        config = RunConfig(snrs_db=snrs_db, seed=3)
+        noises = two_noises(noise_samples)
+        for label, name in ((0, "01a01Wa.wav"), (4, "07b02Fb.wav")):
+            clip = tone_utterance(label, np.random.default_rng(label))
+            got = pipeline._condition_segments(config, clip, name, noises, sorted(snrs_db))
+            want = reference_condition_segments(config, clip, name, noises)
+            assert got.shape == (1 + 2 * len(snrs_db), *want[0].shape)
+            for got_condition, want_condition in zip(got, want):
+                np.testing.assert_allclose(got_condition, want_condition, rtol=0.0, atol=1e-10)
+
+    def test_confusions_and_segment_accuracies_equal_reference(self, tmp_path):
+        entries = write_tone_entries(tmp_path, [0, 1, 2, 3, 4, 5, 6, 2, 5])
+        # absolute deltas, so a clean accuracy of 0 is no error
+        config = RunConfig(snrs_db=(20.0, -5.0, 5.0), seed=8, delta_mode="absolute")
+        noises = two_noises(4000)
+        rng = np.random.default_rng(4)
+        # standardize on clean segments, so the model's inputs are of order 1
+        clean = [reference_condition_segments(config, tone_utterance(label, rng), "x", {})[0]
+                 for label in range(7)]
+        mean, std = fit_standardization(np.vstack(clean))
+        rbm = Rbm(rng.standard_normal((13, 10)), np.zeros(13), 0.1 * rng.standard_normal(10),
+                  GAUSSIAN)
+        model = Dbn([rbm], 3.0 * rng.standard_normal((10, 7)), np.zeros(7),
+                    input_mean=mean, input_std=std)
+
+        reports = evaluate(model, entries, config, noises)
+        confusions, segment_accuracies = reference_evaluate(model, entries, config, noises)
+        # the model is not constant: it predicts several labels, and noise changes its votes
+        assert np.count_nonzero(confusions.sum(axis=(0, 1))) > 1
+        assert any((c != confusions[0]).any() for c in confusions[1:])
+        assert len(reports) == len(confusions)
+        for report, confusion, segment_accuracy in zip(reports, confusions, segment_accuracies):
+            np.testing.assert_array_equal(report.confusion, confusion)
+            assert report.segment_accuracy == segment_accuracy
+
+    def test_work_per_utterance(self, tmp_path, monkeypatch):
+        # one forward call, one time-domain mixture per category and 1 + K FFT
+        # passes per utterance, whatever the number of SNRs
+        counts = Counter()
+        for name in ("forward", "mix_at_snr", "frame_spectra", "mfcc"):
+            def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        entries = write_tone_entries(tmp_path, [0, 3, 6])
+        reports = evaluate(constant_predictor(Label.ANGER), entries,
+                           RunConfig(snrs_db=(0.0, 5.0, 10.0)), two_noises(8000))
+        assert len(reports) == 1 + 2 * 3
+        assert counts == {"forward": 3, "mix_at_snr": 3 * 2, "frame_spectra": 3 * (1 + 2)}
+
+    @pytest.mark.parametrize("samples, noise, problem", [
+        (np.zeros(9600), AudioClip(np.ones(8000), 16000), "clean clip is silent"),
+        (0.1 * np.ones(399), AudioClip(np.ones(8000), 16000), "shorter than one frame"),
+        (0.1 * np.ones(9600), AudioClip(np.zeros(8000), 16000), "noise window is silent"),
+        (0.1 * np.ones(9600), AudioClip(np.ones(8000), 8000), "sample rate mismatch"),
+    ], ids=["silent_clip", "short_clip", "silent_noise", "noise_rate"])
+    def test_mixing_errors_surface(self, tmp_path, samples, noise, problem):
+        entries = write_tone_entries(tmp_path, [0])
+        write_wav(AudioClip(samples, 16000), entries[0].path)
+        with pytest.raises(ValueError, match=problem):
+            evaluate(constant_predictor(Label.ANGER), entries, RunConfig(snrs_db=(0.0, 10.0)),
+                     {"white": noise})
+
+
 CLEAN_ROW = "clean,,0.9,0.9,0.9,0.0,<10\n"
 
 
@@ -474,6 +567,16 @@ class TestExperimentStages:
             run_experiment(config)
         assert not (work / "manifest.csv").exists()
         assert not (work / "model.dbn").exists()
+
+    @pytest.mark.parametrize("n_samples, rate", [(0, 16000), (1, 44100)],
+                             ids=["empty", "empty_after_resampling"])
+    def test_noise_file_without_samples_is_refused(self, tmp_path, n_samples, rate):
+        path = tmp_path / "noise" / "hum" / "ch01.wav"
+        path.parent.mkdir(parents=True)
+        write_wav(AudioClip(np.full(n_samples, 0.1), rate), path)
+        config = RunConfig(noise_dir=str(tmp_path / "noise"))
+        with pytest.raises(ValueError, match=f"noise file {path} has no samples at 16000 Hz"):
+            pipeline.load_noise(config, "hum")
 
     def test_noisy_training_loads_each_noise_once(self, tmp_path, tone_corpus, monkeypatch):
         clean_dir, noise_dir = tone_corpus
