@@ -135,7 +135,7 @@ _SCHEMA = {
 
 
 class ConfigError(ValueError):
-    """Config file cannot be parsed or names an unknown key."""
+    """Config text cannot be parsed, names an unknown key or sets a refused value."""
 
 
 def apply_settings(base: RunConfig, settings, source: str) -> RunConfig:
@@ -162,13 +162,17 @@ def apply_settings(base: RunConfig, settings, source: str) -> RunConfig:
             else:
                 top[target] = value
 
-    return replace(
-        base,
-        **top,
-        mfcc=replace(base.mfcc, **nested["mfcc"]),
-        segment=replace(base.segment, **nested["segment"]),
-        train=replace(base.train, **nested["train"]),
-    )
+    # a value __post_init__ refuses is named with its source, as a converter's is
+    try:
+        return replace(
+            base,
+            **top,
+            mfcc=replace(base.mfcc, **nested["mfcc"]),
+            segment=replace(base.segment, **nested["segment"]),
+            train=replace(base.train, **nested["train"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

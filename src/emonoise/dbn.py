@@ -10,16 +10,19 @@ Callers pass raw feature vectors: pretrain_dbn fits the input z-score and
 stores it in the Dbn, and fine_tune and forward apply it. Every training
 routine is a pure function of its inputs and the seed it is given: repeated
 runs produce bit-identical parameters. Training updates private mutable
-arrays in place (an ``RbmState`` per RBM during pretraining, a working copy
-of the network during fine-tuning) and freezes them into ``Rbm``/``Dbn``
-values once, at the end. The returned models are never written again, so
-they are safe for concurrent read-only inference.
+arrays in place (an ``RbmState`` per RBM during pretraining, plain arrays
+for the weights, biases, head, standardization and velocities during
+fine-tuning) and freezes them into ``Rbm``/``Dbn`` values once, at the end.
+The returned models are never written again, so they are safe for
+concurrent read-only inference.
 
-Training arithmetic runs in float32: the ``RbmState`` buffers, the CD
-statistics and the fine-tuning working copy. Everything that leaves the
-module is float64: ``freeze`` and ``fine_tune`` upcast once, so the trained
-``Rbm``/``Dbn`` values, the ``DBN1`` file format, ``forward`` and the
-standardization are float64 (the trained parameters are float32-representable).
+``Rbm`` and ``Dbn`` hold float64 only: they convert whatever arrays they
+are given. Training arithmetic runs in float32, on arrays that never leave
+the routine that made them: the ``RbmState`` buffers and CD statistics,
+the activations pretraining passes up the stack, and the fine-tuning
+arrays. ``freeze`` and ``fine_tune`` upcast once, so the trained
+parameters are float32-representable float64 values, as are the ``DBN1``
+file, ``forward`` and the standardization.
 """
 
 from __future__ import annotations
@@ -109,18 +112,9 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
 
 
-def _param_array(x) -> np.ndarray:
-    """``x`` as a parameter array: float32 stays float32, anything else becomes float64."""
-    x = np.asarray(x)
-    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class Rbm:
-    """One energy-model layer: weights (n_visible, n_hidden) plus biases.
-
-    Parameters are float64, except in the float32 copies training makes.
-    """
+    """One energy-model layer: weights (n_visible, n_hidden) plus biases, all float64."""
 
     weights: np.ndarray
     visible_bias: np.ndarray
@@ -128,7 +122,8 @@ class Rbm:
     visible_kind: str = BERNOULLI
 
     def __post_init__(self) -> None:
-        w, vb, hb = (_param_array(p) for p in (self.weights, self.visible_bias, self.hidden_bias))
+        w, vb, hb = (np.asarray(p, dtype=np.float64)
+                     for p in (self.weights, self.visible_bias, self.hidden_bias))
         if w.ndim != 2 or vb.shape != (w.shape[0],) or hb.shape != (w.shape[1],):
             raise ValueError("inconsistent RBM parameter shapes")
         if not (np.isfinite(w).all() and np.isfinite(vb).all() and np.isfinite(hb).all()):
@@ -148,15 +143,9 @@ class Rbm:
         return self.weights.shape[1]
 
 
-def _float32_copy(rbm: Rbm) -> Rbm:
-    f32 = np.float32
-    return Rbm(rbm.weights.astype(f32), rbm.visible_bias.astype(f32), rbm.hidden_bias.astype(f32),
-               visible_kind=rbm.visible_kind)
-
-
 @dataclass
 class Dbn:
-    """Stacked RBMs plus a softmax head and the input standardization.
+    """Stacked RBMs plus a float64 softmax head and input standardization.
 
     ``input_mean``/``input_std`` hold the per-dimension z-score parameters
     fitted on training features. The head and the standardization must be
@@ -179,15 +168,15 @@ class Dbn:
                 raise ValueError(f"RBM {i} must have {expected} visible units")
             if i and rbm.n_visible != self.rbms[i - 1].n_hidden:
                 raise ValueError("adjacent RBM layer sizes do not chain")
-        self.softmax_weights = _param_array(self.softmax_weights)
-        self.softmax_bias = _param_array(self.softmax_bias)
+        self.softmax_weights = np.asarray(self.softmax_weights, dtype=np.float64)
+        self.softmax_bias = np.asarray(self.softmax_bias, dtype=np.float64)
         top = self.rbms[-1].n_hidden
         if self.softmax_weights.shape != (top, self.softmax_bias.shape[0]):
             raise ValueError("softmax head does not match the top RBM layer")
         if not (np.isfinite(self.softmax_weights).all() and np.isfinite(self.softmax_bias).all()):
             raise ValueError("softmax head must be finite")
         for name in ("input_mean", "input_std"):
-            val = _param_array(getattr(self, name))
+            val = np.asarray(getattr(self, name), dtype=np.float64)
             if val.shape != (self.rbms[0].n_visible,):
                 raise ValueError(f"{name} must have one entry per input dimension")
             if not np.isfinite(val).all():
@@ -231,16 +220,15 @@ class RbmState:
         return self.weights.shape[1]
 
     def freeze(self) -> Rbm:
-        f64 = np.float64
-        return Rbm(self.weights.astype(f64), self.visible_bias.astype(f64),
-                   self.hidden_bias.astype(f64), visible_kind=self.visible_kind)
+        return Rbm(self.weights, self.visible_bias, self.hidden_bias,
+                   visible_kind=self.visible_kind)
 
 
 def hidden_probs(rbm: Rbm | RbmState, v) -> np.ndarray:
     """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W). Accepts a batch.
 
-    Computes in the dtype of the layer's weights: float32 during training,
-    float64 for a trained Rbm.
+    Computes in the dtype of the layer's weights: float32 for an RbmState,
+    float64 for an Rbm.
     """
     v = np.asarray(v, dtype=rbm.weights.dtype)
     if v.shape[-1] != rbm.n_visible:
@@ -255,7 +243,8 @@ def visible_recon(rbm: Rbm | RbmState, h) -> np.ndarray:
 
     Bernoulli units give probabilities sigmoid(visible_bias + h @ W.T);
     Gaussian units give the mean visible_bias + h @ W.T of the unit-variance
-    model. Computes in the layer's dtype, as hidden_probs does.
+    model. Computes in float32 for an RbmState and float64 for an Rbm, as
+    hidden_probs does.
     """
     h = np.asarray(h, dtype=rbm.weights.dtype)
     if h.shape[-1] != rbm.n_hidden:
@@ -363,16 +352,18 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def train_rbm(rbm: Rbm, data: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> Rbm:
+def train_rbm(rbm: Rbm, data: np.ndarray, cfg: TrainConfig,
+              rng: np.random.Generator) -> RbmState:
     """Run epochs_pretrain epochs of CD over shuffled minibatches.
 
-    Returns the trained RBM; ``rbm`` itself is not modified.
+    Returns the trained float32 RbmState; ``freeze`` turns it into an Rbm.
+    ``rbm`` itself is not modified.
     """
     state = RbmState(rbm)
     for _ in range(cfg.epochs_pretrain):
         for idx in _minibatches(data.shape[0], cfg.batch_size, rng):
             cd_update(state, data[idx], cfg, rng)
-    return state.freeze()
+    return state
 
 
 def fit_standardization(train_features):
@@ -404,8 +395,9 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     ``data``. Each RBM is trained on the deterministic hidden probabilities
     of the one below it; the softmax head over N_LABELS classes is randomly
     initialized (seeded normal, sd 0.01). ``seed`` fixes every draw. The
-    standardized rows are cast to float32 once, and each layer's
-    activations are computed in float32 from the layer below.
+    standardized rows are cast to float32 once; each trained RbmState is
+    frozen into the Dbn's float64 Rbm, and, if another layer follows, gives
+    that layer its float32 activations.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -419,11 +411,13 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     rbms: list[Rbm] = []
     activations = ((data - mean) / std).astype(np.float32)
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if rbms:
-            activations = hidden_probs(_float32_copy(rbms[-1]), activations)
         kind = GAUSSIAN if i == 0 else BERNOULLI
-        rbm = _init_rbm(n_vis, n_hid, kind, rng)
-        rbms.append(train_rbm(rbm, activations, cfg, rng))
+        state = train_rbm(_init_rbm(n_vis, n_hid, kind, rng), activations, cfg, rng)
+        rbms.append(state.freeze())
+        if i + 2 < len(sizes):
+            activations = hidden_probs(state, activations)
+        # drop its weight-sized velocity and scratch buffers before the next layer trains
+        del state
 
     return Dbn(
         rbms=rbms,
@@ -439,11 +433,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _forward_activations(dbn: Dbn, x2d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    activations = [(x2d - dbn.input_mean) / dbn.input_std]
-    for rbm in dbn.rbms:
-        activations.append(hidden_probs(rbm, activations[-1]))
-    logits = activations[-1] @ dbn.softmax_weights + dbn.softmax_bias
+def _forward_activations(layers, head, mean, std, x2d: np.ndarray):
+    """Every layer's activations and the head's logits; ``layers`` lists (W, hidden bias)."""
+    activations = [(x2d - mean) / std]
+    for w, c in layers:
+        pre = activations[-1] @ w
+        pre += c
+        activations.append(_sigmoid_inplace(pre))
+    logits = activations[-1] @ head[0] + head[1]
     return activations, logits
 
 
@@ -454,20 +451,23 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     with max-subtraction. Output rows sum to 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    _, logits = _forward_activations(dbn, np.atleast_2d(x))
+    x2d = np.atleast_2d(x)
+    if x2d.shape[-1] != dbn.rbms[0].n_visible:
+        raise ValueError(f"input rows have {x2d.shape[-1]} entries, want {dbn.rbms[0].n_visible}")
+    _, logits = _forward_activations([(r.weights, r.hidden_bias) for r in dbn.rbms],
+                                     (dbn.softmax_weights, dbn.softmax_bias),
+                                     dbn.input_mean, dbn.input_std, x2d)
     probs = np.exp(_log_softmax(logits))
-    return probs[0] if single else probs
+    return probs[0] if x.ndim == 1 else probs
 
 
-def _loss_and_grads(dbn: Dbn, x2d: np.ndarray, labels: np.ndarray):
+def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient for every parameter.
 
-    Returns (loss, [(dW_1, dc_1), ...], (dWs, dbs)) matching the unrolled
-    feedforward net: sigmoid layers from each RBM's weights/hidden bias,
-    then the softmax head.
+    ``layers`` lists each sigmoid layer's (W, hidden bias) and ``head`` is
+    the softmax (W, bias). Returns (loss, [(dW_1, dc_1), ...], (dWs, dbs)).
     """
-    activations, logits = _forward_activations(dbn, x2d)
+    activations, logits = _forward_activations(layers, head, mean, std, x2d)
     log_probs = _log_softmax(logits)
     n = x2d.shape[0]
     loss = -float(log_probs[np.arange(n), labels].mean())
@@ -479,14 +479,14 @@ def _loss_and_grads(dbn: Dbn, x2d: np.ndarray, labels: np.ndarray):
     top = activations[-1]
     d_head = (top.T @ d_logits, d_logits.sum(axis=0))
     d_layers: list[tuple[np.ndarray, np.ndarray]] = []
-    delta = d_logits @ dbn.softmax_weights.T
-    for i in range(len(dbn.rbms) - 1, -1, -1):
+    delta = d_logits @ head[0].T
+    for i in range(len(layers) - 1, -1, -1):
         act = activations[i + 1]
         dz = delta * act
         dz *= 1.0 - act
         d_layers.append((activations[i].T @ dz, dz.sum(axis=0)))
         if i:
-            delta = dz @ dbn.rbms[i].weights.T
+            delta = dz @ layers[i][0].T
     d_layers.reverse()
     return loss, d_layers, d_head
 
@@ -496,10 +496,11 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
 
     ``data`` holds raw feature vectors (the Dbn's standardization is applied
     inside the forward pass); ``labels`` are integer class indices; ``seed``
-    fixes the minibatch order. The loop runs on a float32 copy of the
-    weights, hidden biases, head and standardization. Returns a new float64
-    network whose trained parameters are that copy upcast and whose visible
-    biases and standardization are the input's; the input is untouched.
+    fixes the minibatch order. The loop updates plain float32 arrays in
+    place: each layer's weights and hidden bias, the head, the
+    standardization and one velocity per parameter. Returns a new Dbn of
+    the trained arrays upcast to float64, with the input's visible biases
+    and standardization; the input is untouched.
     """
     x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
@@ -510,37 +511,30 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     if y.size and (y.min() < 0 or y.max() >= dbn.n_labels):
         raise ValueError(f"labels must lie in [0, {dbn.n_labels - 1}]")
 
-    # the working copy whose arrays the loop below updates in place
     f32 = np.float32
-    tuned = Dbn(
-        [_float32_copy(r) for r in dbn.rbms],
-        dbn.softmax_weights.astype(f32), dbn.softmax_bias.astype(f32),
-        input_mean=dbn.input_mean.astype(f32), input_std=dbn.input_std.astype(f32),
-    )
-    vel_layers = [(np.zeros_like(r.weights), np.zeros_like(r.hidden_bias)) for r in tuned.rbms]
-    vel_head = (np.zeros_like(tuned.softmax_weights), np.zeros_like(tuned.softmax_bias))
+    layers = [(r.weights.astype(f32), r.hidden_bias.astype(f32)) for r in dbn.rbms]
+    head = (dbn.softmax_weights.astype(f32), dbn.softmax_bias.astype(f32))
+    mean, std = dbn.input_mean.astype(f32), dbn.input_std.astype(f32)
+    # the head first, then each layer's (W, c), as the gradients are listed below
+    params = [*head, *(p for layer in layers for p in layer)]
+    velocities = [np.zeros_like(p) for p in params]
 
     rng = np.random.default_rng(seed)
     lr = cfg.learning_rate_finetune
     for _ in range(cfg.epochs_finetune):
         for idx in _minibatches(x.shape[0], cfg.batch_size, rng):
-            _, d_layers, d_head = _loss_and_grads(tuned, x[idx], y[idx])
-            steps = [(tuned.softmax_weights, vel_head[0], d_head[0]),
-                     (tuned.softmax_bias, vel_head[1], d_head[1])]
-            for rbm, (vw, vc), (dw, dc) in zip(tuned.rbms, vel_layers, d_layers):
-                steps += [(rbm.weights, vw, dw), (rbm.hidden_bias, vc, dc)]
-            for param, velocity, grad in steps:
+            _, d_layers, d_head = _loss_and_grads(layers, head, mean, std, x[idx], y[idx])
+            grads = [*d_head, *(g for layer in d_layers for g in layer)]
+            for param, velocity, grad in zip(params, velocities, grads):
                 velocity *= cfg.momentum
                 grad *= lr
                 velocity -= grad
                 param += velocity
-    # rebuilding re-checks that training left the weights and the head finite
-    f64 = np.float64
+    # building the Dbn upcasts and checks that training left the weights and the head finite
     return Dbn(
-        [Rbm(t.weights.astype(f64), r.visible_bias, t.hidden_bias.astype(f64),
-             visible_kind=r.visible_kind) for r, t in zip(dbn.rbms, tuned.rbms)],
-        tuned.softmax_weights.astype(f64), tuned.softmax_bias.astype(f64),
-        input_mean=dbn.input_mean, input_std=dbn.input_std,
+        [Rbm(w, r.visible_bias, c, visible_kind=r.visible_kind)
+         for r, (w, c) in zip(dbn.rbms, layers)],
+        *head, input_mean=dbn.input_mean, input_std=dbn.input_std,
     )
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately brute force (matrix DFT, exhaustive state
 enumeration, central finite differences) and shares no code with the
 implementations it verifies. The sigmoid, CD and fine-tuning references
 compute in the dtype of the arrays they are given, so they check the
-float32 trainer when given float32 arrays. The evaluation reference is the
+float32 trainer when given float32 arrays; the pretraining reference
+chains them in float32. The evaluation reference is the
 exception: it checks the spectral-domain mixing of ``pipeline.evaluate``
 against the time-domain path, so it is built from ``mix_at_snr``, ``mfcc``,
 ``segment_features`` and ``forward``, which other tests verify.
@@ -193,6 +194,31 @@ def reference_train_rbm(params, gaussian, data, cfg, rng):
         for idx in _reference_batches(data.shape[0], cfg.batch_size, rng):
             params, _ = reference_cd_update(params, velocity, gaussian, data[idx], cfg, rng)
     return params
+
+
+def reference_pretrain_dbn(data, hidden_sizes, cfg, seed):
+    """Greedy layerwise pretraining built from reference_train_rbm, in float32.
+
+    One default_rng(seed) is drawn from in order: each layer's weights
+    (normal, sd 0.01, drawn in float64 and cast to float32), that layer's
+    reference_train_rbm on the float32 activations, and last the float64
+    head (normal, sd 0.01). The first layer is Gaussian and sees the
+    z-scored data; each later one sees reference_sigmoid(act @ W + c) of
+    the layer below. ``data`` must have no constant column. Returns
+    ([(W, visible bias, hidden bias), ...], head weights).
+    """
+    x = np.asarray(data, dtype=np.float64)
+    act = ((x - x.mean(axis=0)) / x.std(axis=0)).astype(np.float32)
+    rng = np.random.default_rng(seed)
+    sizes = [x.shape[1], *hidden_sizes]
+    layers = []
+    for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = (0.01 * rng.standard_normal((n_vis, n_hid))).astype(np.float32)
+        params = (w, np.zeros(n_vis, dtype=np.float32), np.zeros(n_hid, dtype=np.float32))
+        w, b, c = reference_train_rbm(params, i == 0, act, cfg, rng)
+        layers.append((w, b, c))
+        act = reference_sigmoid(act @ w + c)
+    return layers, 0.01 * rng.standard_normal((sizes[-1], N_LABELS))
 
 
 def reference_finetune_grads(layers, head, mean, std, x, labels):

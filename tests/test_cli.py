@@ -107,20 +107,22 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", flag, text])
         assert exc.value.code == 2
-        assert "error" in capsys.readouterr().err
+        assert "error: command line: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, repeated", [
         ("[audio]\nsnrs_db = 0, 10, 0\n", "snrs_db lists 0.0 more than once"),
         ("[pipeline]\nnoise_categories = white, pink, white\n",
          "noise_categories lists white more than once"),
-    ], ids=["snrs_db", "noise_categories"])
+        ("[dsp]\nfft_size = 500\n", "fft_size must be a power of two"),
+    ], ids=["snrs_db", "noise_categories", "fft_size"])
     def test_repeated_config_value_exits_two(self, tmp_path, text, repeated, capsys):
+        # also a value a nested config refuses; either way the message names the file
         cfg_file = tmp_path / "twice.cfg"
         cfg_file.write_text(text)
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", "--config", str(cfg_file)])
         assert exc.value.code == 2
-        assert repeated in capsys.readouterr().err
+        assert f"{cfg_file}: {repeated}" in capsys.readouterr().err
 
 
 class TestConfigFile:

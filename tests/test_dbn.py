@@ -15,6 +15,7 @@ from _oracles import (
     rbm_visible_marginals,
     reference_cd_update,
     reference_fine_tune,
+    reference_pretrain_dbn,
     reference_sigmoid,
     reference_train_rbm,
 )
@@ -266,7 +267,7 @@ class TestTrainRbm:
         trained = train_rbm(rbm, data, cfg, np.random.default_rng(43))
         want = reference_train_rbm(as_f32(rbm_params(rbm)), kind == GAUSSIAN,
                                    data.astype(np.float32), cfg, np.random.default_rng(43))
-        assert isinstance(trained, Rbm) and trained.visible_kind == kind
+        assert isinstance(trained, RbmState) and trained.visible_kind == kind
         assert_params_equal(trained, want)
         assert_params_equal(rbm, before)
 
@@ -350,6 +351,20 @@ class TestPretrain:
             np.testing.assert_array_equal(ra.hidden_bias, rb.hidden_bias)
         np.testing.assert_array_equal(a.softmax_weights, b.softmax_weights)
 
+    def test_matches_stack_reference(self):
+        data = np.random.default_rng(7).standard_normal((30, 5))
+        cfg = TrainConfig(epochs_pretrain=2, batch_size=8, cd_steps=2, learning_rate_pretrain=0.3,
+                          learning_rate_pretrain_gaussian=0.05)
+        model = pretrain_dbn(data, [6, 4, 8], cfg, seed=8)
+        layers, head = reference_pretrain_dbn(data, [6, 4, 8], cfg, seed=8)
+        for rbm, params in zip(model.rbms, layers, strict=True):
+            assert_params_equal(rbm, params)
+        np.testing.assert_array_equal(model.softmax_weights, head)
+        assert not model.softmax_bias.any()
+        mean, std = fit_standardization(data)
+        np.testing.assert_array_equal(model.input_mean, mean)
+        np.testing.assert_array_equal(model.input_std, std)
+
     def test_empty_hidden_sizes_rejected(self):
         data = np.random.default_rng(0).standard_normal((5, 4))
         with pytest.raises(ValueError, match="hidden"):
@@ -414,7 +429,10 @@ class TestFineTune:
             probs = forward(model, x)
             return -float(np.mean(np.log(probs[np.arange(12), y])))
 
-        _, d_layers, d_head = _loss_and_grads(model, x, y)
+        _, d_layers, d_head = _loss_and_grads(
+            [(r.weights, r.hidden_bias) for r in model.rbms],
+            (model.softmax_weights, model.softmax_bias), model.input_mean, model.input_std, x, y,
+        )
         checks = []
         for i, rbm in enumerate(model.rbms):
             checks.append((rbm.weights, d_layers[i][0]))
@@ -614,24 +632,24 @@ def assert_float64_from_float32(arrays):
 
 
 class TestFloat32Training:
-    """Training state is float32; every Rbm and Dbn training returns is float64."""
+    """Training state is float32; every Rbm and Dbn is float64."""
 
     def test_state_is_float32(self):
         state = RbmState(random_rbm(5, 4, seed=50))
-        buffers = [state.weights, state.visible_bias, state.hidden_bias, state.velocity_weights,
-                   state.velocity_visible_bias, state.velocity_hidden_bias, state.grad,
-                   state.scratch]
-        assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
-
-    def test_train_rbm_returns_float64(self):
         trained = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
                             TrainConfig(epochs_pretrain=2, batch_size=4),
                             np.random.default_rng(53))
-        assert_float64_from_float32(rbm_params(trained))
+        for t in (state, trained):
+            buffers = [t.weights, t.visible_bias, t.hidden_bias, t.velocity_weights,
+                       t.velocity_visible_bias, t.velocity_hidden_bias, t.grad, t.scratch]
+            assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
 
     def test_pretrain_and_fine_tune_return_float64(self):
         data = np.random.default_rng(54).standard_normal((20, 4))
         cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
+        frozen = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
+                           cfg, np.random.default_rng(53)).freeze()
+        assert_float64_from_float32(rbm_params(frozen))
         pretrained = pretrain_dbn(data, [5, 6], cfg, seed=55)
         tuned = fine_tune(pretrained, data, np.arange(20) % 7, cfg, seed=56)
         for model in (pretrained, tuned):
@@ -645,6 +663,18 @@ class TestFloat32Training:
             np.testing.assert_array_equal(model.input_mean, mean)
             np.testing.assert_array_equal(model.input_std, std)
         assert forward(tuned, data).dtype == np.float64
+
+    def test_models_hold_float64_whatever_they_are_given(self):
+        f32 = np.float32
+        model = small_dbn(seed=57)
+        rbms = [Rbm(*(p.astype(f32) for p in rbm_params(r)), visible_kind=r.visible_kind)
+                for r in model.rbms]
+        given = Dbn(rbms, model.softmax_weights.astype(f32), model.softmax_bias.astype(f32),
+                    input_mean=model.input_mean.astype(f32),
+                    input_std=model.input_std.astype(f32))
+        arrays = [a for r in given.rbms for a in rbm_params(r)]
+        arrays += [given.softmax_weights, given.softmax_bias, given.input_mean, given.input_std]
+        assert_float64_from_float32(arrays)
 
 
 class TestConfigValidation:

@@ -691,19 +691,43 @@ class TestExperimentStages:
         assert train_model(config).read_bytes() == model_bytes
 
 
+def learning_rows(corpus, work_dir, train_on_noisy):
+    """Report rows of one run at the noise-sweep benchmark's training settings."""
+    clean_dir, noise_dir = corpus
+    config = RunConfig(
+        clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(work_dir),
+        snrs_db=(0.0,), hidden_sizes=(256, 256, 512), train_on_noisy=train_on_noisy,
+        train=TrainConfig(
+            epochs_pretrain=5, epochs_finetune=10, learning_rate_pretrain_gaussian=0.01,
+            learning_rate_pretrain=0.1, learning_rate_finetune=0.1,
+        ),
+    )
+    return read_report(run_experiment(config))
+
+
+@pytest.fixture(scope="module")
+def learning_corpus(tmp_path_factory):
+    # with 20 speakers the same settings stay at chance (1/7); white noise, no floor
+    return build_tone_corpus(tmp_path_factory.mktemp("learning"), n_speakers=40, duration=1.0)
+
+
+@pytest.fixture(scope="module")
+def clean_trained_rows(learning_corpus, tmp_path_factory):
+    return learning_rows(learning_corpus, tmp_path_factory.mktemp("clean_work"), False)
+
+
 class TestLearning:
-    def test_clean_accuracy_well_above_chance(self, tmp_path):
-        # the noise-sweep benchmark settings; with 20 speakers the same
-        # settings stay at chance (1/7)
-        clean_dir, noise_dir = build_tone_corpus(tmp_path / "corpus", n_speakers=40, duration=1.0)
-        config = RunConfig(
-            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
-            snrs_db=(0.0,), hidden_sizes=(256, 256, 512),
-            train=TrainConfig(
-                epochs_pretrain=5, epochs_finetune=10, learning_rate_pretrain_gaussian=0.01,
-                learning_rate_pretrain=0.1, learning_rate_finetune=0.1,
-            ),
-        )
-        rows = read_report(run_experiment(config))
-        assert rows[0]["condition"] == "clean"
-        assert float(rows[0]["utterance_accuracy"]) >= 0.5
+    def test_clean_accuracy_well_above_chance(self, clean_trained_rows):
+        assert clean_trained_rows[0]["condition"] == "clean"
+        assert float(clean_trained_rows[0]["utterance_accuracy"]) >= 0.5
+
+    def test_training_on_noisy_speech_helps_at_0db(self, learning_corpus, clean_trained_rows,
+                                                    tmp_path):
+        # training on speech mixed at the test SNR, the protocol's lever for robustness
+        noisy_rows = learning_rows(learning_corpus, tmp_path / "work", True)
+        (clean_0db,) = [r for r in clean_trained_rows if r["condition"] != "clean"]
+        (noisy_0db,) = [r for r in noisy_rows if r["condition"] != "clean"]
+        assert float(clean_0db["snr_db"]) == float(noisy_0db["snr_db"]) == 0.0
+        noisy_acc = float(noisy_0db["utterance_accuracy"])
+        assert noisy_acc >= 0.5
+        assert noisy_acc >= float(clean_0db["utterance_accuracy"]) + 0.25
