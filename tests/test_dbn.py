@@ -644,12 +644,15 @@ class TestFloat32Training:
                        t.velocity_visible_bias, t.velocity_hidden_bias, t.grad, t.scratch]
             assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
 
+    def test_train_rbm_returns_float64(self):
+        trained = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
+                            TrainConfig(epochs_pretrain=2, batch_size=4),
+                            np.random.default_rng(53))
+        assert_float64_from_float32(rbm_params(trained.freeze()))
+
     def test_pretrain_and_fine_tune_return_float64(self):
         data = np.random.default_rng(54).standard_normal((20, 4))
         cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
-        frozen = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
-                           cfg, np.random.default_rng(53)).freeze()
-        assert_float64_from_float32(rbm_params(frozen))
         pretrained = pretrain_dbn(data, [5, 6], cfg, seed=55)
         tuned = fine_tune(pretrained, data, np.arange(20) % 7, cfg, seed=56)
         for model in (pretrained, tuned):
