@@ -3,7 +3,8 @@
 The file uses section headers named after the modules they configure
 ([pipeline], [audio], [dsp], [dbn]); every key is optional and defaults to
 the module defaults, so an empty file reproduces the reference protocol.
-Parsing a serialized config yields the identical RunConfig back.
+Config text is only read, never written back: ``pipeline`` hashes the
+``asdict`` form of the fields training reads into ``model.key``.
 """
 
 from __future__ import annotations
@@ -186,30 +187,3 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
     settings = {section: dict(parser.items(section)) for section in parser.sections()}
     return apply_settings(base or RunConfig(), settings, str(path))
 
-
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig in the config file format (parse round-trips)."""
-    lines: list[str] = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (target, _) in keys.items():
-            if "." in target:
-                block, name = target.split(".")
-                value = getattr(getattr(cfg, block), name)
-            else:
-                value = getattr(cfg, target)
-            lines.append(f"{key} = {_format_value(value)}")
-        lines.append("")
-    return "\n".join(lines)

@@ -72,12 +72,6 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def softplus(x) -> np.ndarray:
-    """log(1 + e^x) computed as max(x, 0) + log1p(e^-|x|)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer hyperparameters; the seed is passed to each training routine.
@@ -102,8 +96,9 @@ class TrainConfig:
             raise ValueError("cd_steps must be at least 1")
         for name in ("learning_rate_pretrain", "learning_rate_pretrain_gaussian",
                      "learning_rate_finetune", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            # a chained comparison, so that NaN fails it; inf would train to NaN weights
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size < 1:
@@ -252,24 +247,6 @@ def visible_recon(rbm: Rbm | RbmState, h) -> np.ndarray:
     pre = h @ rbm.weights.T
     pre += rbm.visible_bias
     return _sigmoid_inplace(pre) if rbm.visible_kind == BERNOULLI else pre
-
-
-def free_energy(rbm: Rbm, v) -> float | np.ndarray:
-    """F(v) with P(v) proportional to exp(-F(v)); hidden units marginalized.
-
-    Bernoulli: F(v) = -b.v - sum_j softplus(c_j + (W^T v)_j).
-    Gaussian:  F(v) = ||v - b||^2 / 2 - sum_j softplus(c_j + (W^T v)_j).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != rbm.n_visible:
-        raise ValueError(f"visible vector has {v.shape[-1]} entries, want {rbm.n_visible}")
-    hidden_term = softplus(v @ rbm.weights + rbm.hidden_bias).sum(axis=-1)
-    if rbm.visible_kind == BERNOULLI:
-        visible_term = -(v @ rbm.visible_bias)
-    else:
-        visible_term = 0.5 * np.square(v - rbm.visible_bias).sum(axis=-1)
-    out = visible_term - hidden_term
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -538,8 +515,10 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     )
 
 
-def _pack_f64(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _pack_f64(arr: np.ndarray) -> np.ndarray:
+    # a float64 model array is written from its own buffer: no copy of the
+    # 24 MB a paper-width model takes
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 def save_model(dbn: Dbn, path) -> None:
@@ -555,7 +534,7 @@ def save_model(dbn: Dbn, path) -> None:
     parts.append(_pack_f64(dbn.input_mean))
     parts.append(_pack_f64(dbn.input_std))
     with atomic_open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.writelines(parts)
 
 
 def load_model(path) -> Dbn:

@@ -53,10 +53,13 @@ class MfccConfig:
             raise ValueError("need 0 < n_ceps <= n_mels")
         if not 0.0 <= self.preemph < 1.0:
             raise ValueError("preemph must lie in [0, 1)")
-        if self.fmin_hz < 0.0 or (self.fmax_hz is not None and self.fmax_hz <= self.fmin_hz):
-            raise ValueError("need 0 <= fmin_hz < fmax_hz")
-        if self.log_floor <= 0.0:
-            raise ValueError("log_floor must be positive")
+        # chained comparisons, so that NaN fails them
+        if not 0.0 <= self.fmin_hz < np.inf or (
+            self.fmax_hz is not None and not self.fmin_hz < self.fmax_hz < np.inf
+        ):
+            raise ValueError("need 0 <= fmin_hz < fmax_hz, both finite")
+        if not 0.0 < self.log_floor < np.inf:
+            raise ValueError("log_floor must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ replaced atomically. model.key holds a hash of the training split and the
 config fields training read, and evaluation refuses a model whose key does
 not match the current manifest and config. Features are computed from the
 WAVs under the current config and never cached. Training turns each
-utterance into MFCC segment means through ``_segments``, which mixes in one
+utterance into MFCC segment means in ``_training_set``, after mixing in one
 noise at one SNR when training on noisy speech. Evaluation needs every
 condition of each utterance, so ``_condition_segments`` transforms the
 utterance once and one time-domain mixture per noise category, and derives
@@ -120,7 +120,8 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
     """Assign train/test tags; deterministic given the seed.
 
     stratified_random shuffles each label's utterances and sends the last
-    ceil(fraction * n) to test. leave_speakers_out assigns whole speakers
+    ceil(fraction * n) to test; it refuses a label that this would leave
+    with none for training. leave_speakers_out assigns whole speakers
     to test until the fraction is reached.
     """
     if not 0.0 < test_fraction < 1.0:
@@ -142,6 +143,11 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
                 )
             order = rng.permutation(len(members))
             n_test = math.ceil(test_fraction * len(members))
+            if n_test == len(members):
+                raise ValueError(
+                    f"label {label.name.lower()} has {len(members)} utterances; "
+                    f"test_fraction {test_fraction} sends all of them to test"
+                )
             test_idx.update(members[i] for i in order[len(members) - n_test :])
     elif strategy == "leave_speakers_out":
         speakers = sorted({e.speaker for e in manifest})
@@ -245,26 +251,15 @@ def noise_offset_for(seed: int, utterance_name: str, noise_len: int) -> int:
     return zlib.crc32(f"{seed}:{utterance_name}".encode()) % noise_len
 
 
-def _segments(config: RunConfig, clip: AudioClip, name: str, noise: AudioClip | None = None,
-              snr_db: float | None = None) -> np.ndarray:
-    """Segment vectors of one utterance, mixed with ``noise`` at ``snr_db`` first if given.
-
-    The noise window is keyed by the seed and the utterance ``name``, so
-    scores do not depend on utterance order.
-    """
-    if noise is not None:
-        clip = mix_at_snr(clip, noise, snr_db, noise_offset_for(config.seed, name, len(noise)))
-    return segment_features(mfcc(clip, config.mfcc), config.segment)
-
-
 def _condition_segments(config: RunConfig, clip: AudioClip, name: str, noises,
                         snrs_db) -> np.ndarray:
     """Segment vectors of one utterance under every condition, shape (conditions, segments, n_ceps).
 
     Conditions come clean first, then each category in ``noises`` order at
     every SNR of the ascending ``snrs_db``. Each category's noise window is
-    the one ``_segments`` would take; ``evaluate`` says why deriving every
-    SNR from the mixture at ``snrs_db[0]`` is exact.
+    keyed by the seed and the utterance ``name`` (``noise_offset_for``), so
+    scores do not depend on utterance order; ``evaluate`` says why deriving
+    every SNR from the mixture at ``snrs_db[0]`` is exact.
     """
     cfg = config.mfcc
     rate = clip.sample_rate_hz
@@ -486,19 +481,21 @@ def _training_set(config: RunConfig, train_entries, noises=None):
 
     ``noises`` maps each noise category to its loaded clip. When it is
     given, each utterance is mixed with one category at one SNR, both drawn
-    from a generator keyed by the seed and the utterance name.
+    from a generator keyed by the seed and the utterance name; the noise
+    window is keyed the same way (``noise_offset_for``).
     """
     categories = list(noises or ())
     blocks = []
     labels = []
     for entry in train_entries:
         name = Path(entry.path).name
-        noise = snr = None
+        clip = _load_clip(config, entry.path)
         if noises:
             pick = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
             noise = noises[categories[int(pick.integers(len(categories)))]]
             snr = config.snrs_db[int(pick.integers(len(config.snrs_db)))]
-        segments = _segments(config, _load_clip(config, entry.path), name, noise, snr)
+            clip = mix_at_snr(clip, noise, snr, noise_offset_for(config.seed, name, len(noise)))
+        segments = segment_features(mfcc(clip, config.mfcc), config.segment)
         blocks.append(segments)
         labels.extend([int(entry.label)] * segments.shape[0])
     return np.vstack(blocks), np.asarray(labels, dtype=np.int64)

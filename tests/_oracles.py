@@ -80,18 +80,6 @@ def rbm_joint_unnormalized(weights, visible_bias, hidden_bias):
     return v_states, h_states, np.exp(-energy)
 
 
-def rbm_partition(weights, visible_bias, hidden_bias):
-    _, _, table = rbm_joint_unnormalized(weights, visible_bias, hidden_bias)
-    return table.sum()
-
-
-def rbm_visible_marginals(weights, visible_bias, hidden_bias):
-    """Exact P(v) for every visible configuration, in binary_states order."""
-    _, _, table = rbm_joint_unnormalized(weights, visible_bias, hidden_bias)
-    per_v = table.sum(axis=1)
-    return per_v / per_v.sum()
-
-
 def rbm_loglik_grad(weights, visible_bias, hidden_bias, data):
     """Exact gradient of the mean data log-likelihood of a Bernoulli RBM.
 

@@ -8,21 +8,31 @@ from emonoise.pipeline import Label
 EMOTION_LETTERS = "WLEAFNT"
 
 
-def tone_utterance(label: int, rng: np.random.Generator, sample_rate=16000, duration=0.6):
-    """A three-harmonic tone complex; the fundamental encodes the class."""
+def tone_utterance(label: int, rng: np.random.Generator, sample_rate=16000, duration=0.6,
+                   floor_db=None):
+    """A three-harmonic tone complex; the fundamental encodes the class.
+
+    With ``floor_db``, white noise that many dB below the tone's RMS is
+    added, drawn from ``rng`` after the tone, as the benchmark corpus does.
+    """
     f0 = 150.0 * (1.3**label)
     t = np.arange(int(sample_rate * duration)) / sample_rate
     x = np.zeros_like(t)
     for harmonic in (1, 2, 3):
         x += np.sin(2.0 * np.pi * f0 * harmonic * t + rng.uniform(0, 2 * np.pi)) / harmonic
     x *= (0.25 + 0.05 * rng.random()) / np.abs(x).max()
+    if floor_db is not None:
+        floor = np.sqrt(np.mean(np.square(x))) * 10.0 ** (floor_db / 20.0)
+        x += floor * rng.standard_normal(t.size)
     return AudioClip(x, sample_rate)
 
 
-def build_tone_corpus(root, n_speakers=10, sample_rate=16000, duration=0.6, seed=1234):
+def build_tone_corpus(root, n_speakers=10, sample_rate=16000, duration=0.6, seed=1234,
+                      floor_db=None):
     """Synthetic corpus in the Berlin filename convention plus a white-noise dir.
 
-    One utterance per (speaker, emotion): filenames like 01a01Wa.wav.
+    One utterance per (speaker, emotion): filenames like 01a01Wa.wav, each
+    with a white floor ``floor_db`` below it if given (see ``tone_utterance``).
     Returns (clean_dir, noise_dir).
     """
     clean_dir = root / "clean"
@@ -31,7 +41,7 @@ def build_tone_corpus(root, n_speakers=10, sample_rate=16000, duration=0.6, seed
     for label in Label:
         letter = EMOTION_LETTERS[int(label)]
         for speaker in range(1, n_speakers + 1):
-            clip = tone_utterance(int(label), rng, sample_rate, duration)
+            clip = tone_utterance(int(label), rng, sample_rate, duration, floor_db)
             write_wav(clip, clean_dir / f"{speaker:02d}a01{letter}a.wav")
 
     white_dir = root / "noise" / "white"

@@ -5,7 +5,7 @@ import pytest
 
 from emonoise.audio import AudioClip, write_wav
 from emonoise.cli import dispatch, main, parse_args
-from emonoise.config import _SCHEMA, RunConfig, load_config, serialize_config
+from emonoise.config import _SCHEMA, RunConfig, load_config
 from emonoise.dbn import load_model, save_model
 
 
@@ -114,7 +114,8 @@ class TestParseArgs:
         ("[pipeline]\nnoise_categories = white, pink, white\n",
          "noise_categories lists white more than once"),
         ("[dsp]\nfft_size = 500\n", "fft_size must be a power of two"),
-    ], ids=["snrs_db", "noise_categories", "fft_size"])
+        ("[dbn]\nlearning_rate_finetune = nan\n", "learning_rate_finetune must be finite"),
+    ], ids=["snrs_db", "noise_categories", "fft_size", "learning_rate_finetune"])
     def test_repeated_config_value_exits_two(self, tmp_path, text, repeated, capsys):
         # also a value a nested config refuses; either way the message names the file
         cfg_file = tmp_path / "twice.cfg"
@@ -126,7 +127,7 @@ class TestParseArgs:
 
 
 class TestConfigFile:
-    def test_parse_serialize_parse_is_fixed_point(self, tmp_path):
+    def test_values_parse_into_their_fields(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             "[pipeline]\nseed = 11\ntest_fraction = 0.3\n"
@@ -134,25 +135,16 @@ class TestConfigFile:
             "[dsp]\nn_mels = 30\nfmax_hz =\n"
             "[dbn]\nhidden_sizes = 64, 64, 128\nmomentum = 0.85\n"
         )
-        first = load_config(cfg_file)
-        out_file = tmp_path / "round.cfg"
-        out_file.write_text(serialize_config(first))
-        second = load_config(out_file)
-        assert first == second
-        assert second.snrs_db == (-5.0, 0.0, 12.5)
-        assert second.mfcc.n_mels == 30
-        assert second.mfcc.fmax_hz is None
-        assert second.train.momentum == 0.85
+        config = load_config(cfg_file)
+        assert config.snrs_db == (-5.0, 0.0, 12.5)
+        assert config.mfcc.n_mels == 30
+        assert config.mfcc.fmax_hz is None
+        assert config.train.momentum == 0.85
 
     def test_empty_config_is_reference_protocol(self, tmp_path):
         cfg_file = tmp_path / "empty.cfg"
         cfg_file.write_text("")
         assert load_config(cfg_file) == RunConfig()
-
-    def test_serialize_mentions_every_section(self):
-        text = serialize_config(RunConfig())
-        for section in ("[pipeline]", "[audio]", "[dsp]", "[dbn]"):
-            assert section in text
 
     def test_every_settable_field_has_exactly_one_key(self):
         nested = ("mfcc", "segment", "train")

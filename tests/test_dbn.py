@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from _oracles import (
     binary_states,
     central_difference,
     rbm_loglik_grad,
-    rbm_partition,
-    rbm_visible_marginals,
     reference_cd_update,
     reference_fine_tune,
     reference_pretrain_dbn,
@@ -33,7 +32,6 @@ from emonoise.dbn import (
     fine_tune,
     fit_standardization,
     forward,
-    free_energy,
     hidden_probs,
     load_model,
     pretrain_dbn,
@@ -112,39 +110,6 @@ class TestVisibleRecon:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             visible_recon(zero_rbm(3, 4), np.ones(3))
-
-
-class TestFreeEnergy:
-    def test_zero_bernoulli_is_minus_n_log2(self):
-        rbm = zero_rbm(3, 5)
-        assert free_energy(rbm, np.array([1.0, 0.0, 1.0])) == pytest.approx(-5 * np.log(2))
-
-    def test_gaussian_at_bias_is_minus_n_log2(self):
-        rbm = Rbm(np.zeros((3, 4)), np.array([0.3, -0.2, 1.0]), np.zeros(4), visible_kind=GAUSSIAN)
-        assert free_energy(rbm, rbm.visible_bias) == pytest.approx(-4 * np.log(2))
-
-    def test_partition_function_matches_enumeration(self):
-        rbm = random_rbm(2, 2, seed=3)
-        v_states = binary_states(2)
-        z_free = np.exp(-free_energy(rbm, v_states)).sum()
-        z_brute = rbm_partition(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-        assert z_free == pytest.approx(z_brute, rel=1e-9)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_marginals_match_enumeration(self, seed):
-        rng = np.random.default_rng(seed)
-        n_vis = int(rng.integers(2, 5))
-        n_hid = int(rng.integers(2, 5))
-        rbm = random_rbm(n_vis, n_hid, seed=seed + 100, scale=0.8)
-        v_states = binary_states(n_vis)
-        unnormalized = np.exp(-free_energy(rbm, v_states))
-        probs = unnormalized / unnormalized.sum()
-        brute = rbm_visible_marginals(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-        np.testing.assert_allclose(probs, brute, rtol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            free_energy(zero_rbm(3, 4), np.ones(4))
 
 
 def rbm_params(rbm):
@@ -610,6 +575,17 @@ class TestPersistence:
         save_model(load_model(path), path)
         assert path.read_bytes() == blob
 
+    def test_save_copies_no_parameter(self, tmp_path):
+        # the file is written from the arrays' own buffers; a paper-width model is 24 MB
+        model = small_dbn(seed=49, hidden=(300, 300))
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "model.dbn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.rbms[1].weights.nbytes // 4
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.dbn"
         save_model(small_dbn(seed=43), path)
@@ -688,6 +664,13 @@ class TestConfigValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate_finetune=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["learning_rate_pretrain", "learning_rate_pretrain_gaussian",
+                                      "learning_rate_finetune", "weight_decay"])
+    def test_nonfinite_rate_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
 
     def test_cd_steps_positive(self):
         with pytest.raises(ValueError):

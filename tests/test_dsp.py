@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -352,3 +353,9 @@ class TestMfccConfigValidation:
     def test_more_ceps_than_mels(self):
         with pytest.raises(ValueError):
             MfccConfig(n_mels=10, n_ceps=13)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["fmin_hz", "fmax_hz", "log_floor"])
+    def test_nonfinite_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MfccConfig(**{name: value})

@@ -128,6 +128,13 @@ class TestSplit:
         with pytest.raises(ValueError, match="sadness"):
             split(manifest, "stratified_random", 0.2, seed=1)
 
+    @pytest.mark.parametrize("per_label, fraction", [(2, 0.6), (10, 0.95)])
+    def test_label_left_without_training_rejected(self, per_label, fraction):
+        # ceil(fraction * n) == n would keep the label out of training altogether
+        manifest = synthetic_manifest(per_label=per_label)
+        with pytest.raises(ValueError, match=f"anger .*test_fraction {fraction}"):
+            split(manifest, "stratified_random", fraction, seed=1)
+
     def test_leave_speakers_out_is_disjoint(self):
         manifest = synthetic_manifest(per_label=10, n_speakers=5)
         tagged = split(manifest, "leave_speakers_out", 0.2, seed=3)
@@ -691,12 +698,12 @@ class TestExperimentStages:
         assert train_model(config).read_bytes() == model_bytes
 
 
-def learning_rows(corpus, work_dir, train_on_noisy):
+def learning_rows(corpus, work_dir, train_on_noisy, snrs_db=(0.0,)):
     """Report rows of one run at the noise-sweep benchmark's training settings."""
     clean_dir, noise_dir = corpus
     config = RunConfig(
         clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(work_dir),
-        snrs_db=(0.0,), hidden_sizes=(256, 256, 512), train_on_noisy=train_on_noisy,
+        snrs_db=snrs_db, hidden_sizes=(256, 256, 512), train_on_noisy=train_on_noisy,
         train=TrainConfig(
             epochs_pretrain=5, epochs_finetune=10, learning_rate_pretrain_gaussian=0.01,
             learning_rate_pretrain=0.1, learning_rate_finetune=0.1,
@@ -731,3 +738,13 @@ class TestLearning:
         noisy_acc = float(noisy_0db["utterance_accuracy"])
         assert noisy_acc >= 0.5
         assert noisy_acc >= float(clean_0db["utterance_accuracy"]) + 0.25
+
+    def test_30db_beats_0db_on_a_floored_corpus(self, tmp_path):
+        # the noisy half of the gate, on the benchmark corpus's -35 dB floor: a
+        # floorless tone leaves mel bands empty that even 30 dB noise fills
+        corpus = build_tone_corpus(tmp_path, n_speakers=40, duration=1.0, floor_db=-35.0)
+        rows = learning_rows(corpus, tmp_path / "work", False, (0.0, 30.0))
+        accuracy = {float(r["snr_db"]): float(r["utterance_accuracy"])
+                    for r in rows if r["condition"] != "clean"}
+        assert accuracy[30.0] >= 0.5
+        assert accuracy[30.0] >= accuracy[0.0] + 0.25
