@@ -53,6 +53,8 @@ class RunConfig:
             raise ValueError("test_fraction must lie in (0, 1)")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.snrs_db or not all(math.isfinite(snr) for snr in self.snrs_db):
             raise ValueError("snrs_db must be a nonempty list of finite values")
         # a repeat would score one condition twice

@@ -14,7 +14,10 @@ arrays in place (an ``RbmState`` per RBM during pretraining, plain arrays
 for the weights, biases, head, standardization and velocities during
 fine-tuning) and freezes them into ``Rbm``/``Dbn`` values once, at the end.
 The returned models are never written again, so they are safe for
-concurrent read-only inference.
+concurrent read-only inference. A warm training step allocates no
+weight-sized array: a CD update is one GEMM over stacked, pre-scaled
+statistics and five passes over the weights, and fine-tuning's gradients
+come out already scaled by the learning rate, into buffers allocated once.
 
 ``Rbm`` and ``Dbn`` hold float64 only: they convert whatever arrays they
 are given. Training arithmetic runs in float32, on arrays that never leave
@@ -188,11 +191,13 @@ class Dbn:
 class RbmState:
     """The mutable float32 training copy of an Rbm, advanced in place by cd_update.
 
-    Holds the parameters, their momentum buffers and two weight-sized
-    scratch buffers for the CD statistics, all float32, so a training step
-    allocates no weight-sized array. The Rbm it is made from is never
-    written; ``freeze`` returns the current parameters as a new, validated
-    float64 Rbm.
+    Holds the parameters, their momentum buffers, one weight-sized buffer
+    for the scaled CD statistic (reused as the weight-decay scratch) and the
+    two stacks that statistic is one GEMM over, all float32, so a warm
+    training step allocates no weight-sized array. The stacks start empty
+    and grow to twice the largest batch seen. The Rbm it is made from is
+    never written; ``freeze`` returns the current parameters as a new,
+    validated float64 Rbm.
     """
 
     def __init__(self, rbm: Rbm) -> None:
@@ -204,7 +209,8 @@ class RbmState:
         self.velocity_visible_bias = np.zeros_like(self.visible_bias)
         self.velocity_hidden_bias = np.zeros_like(self.hidden_bias)
         self.grad = np.empty_like(self.weights)
-        self.scratch = np.empty_like(self.weights)
+        self.stack_visible = np.empty((0, self.n_visible), dtype=np.float32)
+        self.stack_hidden = np.empty((0, self.n_hidden), dtype=np.float32)
 
     @property
     def n_visible(self) -> int:
@@ -262,9 +268,13 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     hidden states as Bernoulli samples; visible reconstructions use
     probabilities for statistics and samples to continue the chain
     (Gaussian visibles use the mean throughout, with no sampling noise).
-    The instantaneous step lr*((v0'p0 - vk'pk)/B - decay*W) accumulates into
-    the momentum buffers, which are then added to the parameters. Returns
-    the mean squared error between v0 and the first reconstruction.
+    The weight step lr*((v0'p0 - vk'pk)/B - decay*W) is taken in this
+    order: one GEMM [v0; vk]' [(lr/B)*p0; -(lr/B)*pk] over the state's
+    stacks into ``grad``, then velocity *= momentum, velocity += grad,
+    grad = (lr*decay)*W, velocity -= grad and W += velocity, five passes
+    over weight-sized arrays. The biases take lr times their mean
+    statistic into their momentum buffers. Returns the mean squared error
+    between v0 and the first reconstruction.
     """
     v0 = np.atleast_2d(np.asarray(batch, dtype=state.weights.dtype))
     if v0.shape[0] == 0:
@@ -291,18 +301,20 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
             h = _sample(hidden_probs(state, v_chain), rng)
     pk = hidden_probs(state, v_stat)
 
-    # one operation at a time, in the order of the expression above, so the
-    # rounding is that of the plain expression
-    grad, scratch = state.grad, state.scratch
-    np.matmul(v0.T, p0, out=grad)
-    np.matmul(v_stat.T, pk, out=scratch)
-    grad -= scratch
-    grad /= n
-    np.multiply(state.weights, cfg.weight_decay, out=scratch)
-    grad -= scratch
-    grad *= lr
+    if state.stack_visible.shape[0] < 2 * n:
+        state.stack_visible = np.empty((2 * n, state.n_visible), dtype=np.float32)
+        state.stack_hidden = np.empty((2 * n, state.n_hidden), dtype=np.float32)
+    stack_v, stack_h = state.stack_visible[: 2 * n], state.stack_hidden[: 2 * n]
+    stack_v[:n] = v0
+    stack_v[n:] = v_stat
+    np.multiply(p0, lr / n, out=stack_h[:n])
+    np.multiply(pk, -lr / n, out=stack_h[n:])
+    grad = state.grad
+    np.matmul(stack_v.T, stack_h, out=grad)
     state.velocity_weights *= cfg.momentum
     state.velocity_weights += grad
+    np.multiply(state.weights, lr * cfg.weight_decay, out=grad)
+    state.velocity_weights -= grad
     state.velocity_visible_bias *= cfg.momentum
     state.velocity_visible_bias += lr * (v0 - v_stat).mean(axis=0)
     state.velocity_hidden_bias *= cfg.momentum
@@ -393,7 +405,7 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
         rbms.append(state.freeze())
         if i + 2 < len(sizes):
             activations = hidden_probs(state, activations)
-        # drop its weight-sized velocity and scratch buffers before the next layer trains
+        # drop its weight-sized velocity and gradient buffers before the next layer trains
         del state
 
     return Dbn(
@@ -438,11 +450,16 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     return probs[0] if x.ndim == 1 else probs
 
 
-def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient for every parameter.
+def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray,
+                    step: float, d_weights):
+    """Mean cross-entropy and its gradient for every parameter, times ``step``.
 
     ``layers`` lists each sigmoid layer's (W, hidden bias) and ``head`` is
-    the softmax (W, bias). Returns (loss, [(dW_1, dc_1), ...], (dWs, dbs)).
+    the softmax (W, bias). ``step``/n is folded into the logits' gradient,
+    so every gradient comes out scaled by ``step`` with no pass of its own.
+    ``d_weights`` holds one array per layer weight and one for the head's,
+    of their shapes and dtype; the weight gradients are written into them.
+    Returns (loss, [(dW_1, dc_1), ...], (dWs, dbs)).
     """
     activations, logits = _forward_activations(layers, head, mean, std, x2d)
     log_probs = _log_softmax(logits)
@@ -451,17 +468,17 @@ def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray
 
     d_logits = np.exp(log_probs)
     d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
+    d_logits *= step / n
 
     top = activations[-1]
-    d_head = (top.T @ d_logits, d_logits.sum(axis=0))
+    d_head = (np.matmul(top.T, d_logits, out=d_weights[-1]), d_logits.sum(axis=0))
     d_layers: list[tuple[np.ndarray, np.ndarray]] = []
     delta = d_logits @ head[0].T
     for i in range(len(layers) - 1, -1, -1):
         act = activations[i + 1]
         dz = delta * act
         dz *= 1.0 - act
-        d_layers.append((activations[i].T @ dz, dz.sum(axis=0)))
+        d_layers.append((np.matmul(activations[i].T, dz, out=d_weights[i]), dz.sum(axis=0)))
         if i:
             delta = dz @ layers[i][0].T
     d_layers.reverse()
@@ -475,9 +492,13 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     inside the forward pass); ``labels`` are integer class indices; ``seed``
     fixes the minibatch order. The loop updates plain float32 arrays in
     place: each layer's weights and hidden bias, the head, the
-    standardization and one velocity per parameter. Returns a new Dbn of
-    the trained arrays upcast to float64, with the input's visible biases
-    and standardization; the input is untouched.
+    standardization and one velocity per parameter. Gradients come out of
+    ``_loss_and_grads`` already scaled by the learning rate, the weight
+    gradients in buffers allocated once, so each step makes three passes
+    over every parameter (velocity *= momentum, velocity -= gradient,
+    parameter += velocity) and allocates no weight-sized array. Returns a
+    new Dbn of the trained arrays upcast to float64, with the input's
+    visible biases and standardization; the input is untouched.
     """
     x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
@@ -495,18 +516,22 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     # the head first, then each layer's (W, c), as the gradients are listed below
     params = [*head, *(p for layer in layers for p in layer)]
     velocities = [np.zeros_like(p) for p in params]
+    d_weights = [np.empty_like(w) for w, _ in layers] + [np.empty_like(head[0])]
 
     rng = np.random.default_rng(seed)
     lr = cfg.learning_rate_finetune
     for _ in range(cfg.epochs_finetune):
         for idx in _minibatches(x.shape[0], cfg.batch_size, rng):
-            _, d_layers, d_head = _loss_and_grads(layers, head, mean, std, x[idx], y[idx])
+            _, d_layers, d_head = _loss_and_grads(layers, head, mean, std, x[idx], y[idx],
+                                                  lr, d_weights)
             grads = [*d_head, *(g for layer in d_layers for g in layer)]
             for param, velocity, grad in zip(params, velocities, grads):
                 velocity *= cfg.momentum
-                grad *= lr
                 velocity -= grad
                 param += velocity
+    # release the velocities and gradient buffers before the float64 copy is
+    # built below: with them alive, that copy is the training stage's peak
+    velocities = d_weights = d_layers = d_head = grads = None
     # building the Dbn upcasts and checks that training left the weights and the head finite
     return Dbn(
         [Rbm(w, r.visible_bias, c, visible_kind=r.visible_kind)

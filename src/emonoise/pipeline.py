@@ -122,7 +122,8 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
     stratified_random shuffles each label's utterances and sends the last
     ceil(fraction * n) to test; it refuses a label that this would leave
     with none for training. leave_speakers_out assigns whole speakers
-    to test until the fraction is reached.
+    to test until the fraction is reached; it refuses a split that leaves
+    a label with no training utterance.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
@@ -163,6 +164,13 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
             count += len(members)
         if len(test_idx) == len(manifest):
             raise ValueError("leave_speakers_out left no speakers for training")
+        trained = {e.label for i, e in enumerate(manifest) if i not in test_idx}
+        untrained = sorted({e.label for e in manifest} - trained)
+        if untrained:
+            raise ValueError(
+                f"label {untrained[0].name.lower()} is spoken only by test speakers; "
+                "leave_speakers_out leaves it no training utterance"
+            )
     else:
         raise ValueError(f"unknown split strategy {strategy!r}")
 

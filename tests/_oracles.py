@@ -160,9 +160,13 @@ def reference_cd_update(params, velocity, gaussian, batch, cfg, rng):
             h = sample(up(v_stat if gaussian else sample(v_stat)))
     pk = up(v_stat)
 
+    # the scaled statistic is one product over the stacked positive and
+    # negative phases, then momentum, the statistic and the decay, in turn
+    grad = np.vstack([v0, v_stat]).T @ np.vstack([p0 * (lr / n), pk * (-lr / n)])
     vw, vb, vc = velocity
     vw *= cfg.momentum
-    vw += lr * ((v0.T @ p0 - v_stat.T @ pk) / n - cfg.weight_decay * w)
+    vw += grad
+    vw -= w * (lr * cfg.weight_decay)
     vb *= cfg.momentum
     vb += lr * (v0 - v_stat).mean(axis=0)
     vc *= cfg.momentum
@@ -209,11 +213,12 @@ def reference_pretrain_dbn(data, hidden_sizes, cfg, seed):
     return layers, 0.01 * rng.standard_normal((sizes[-1], N_LABELS))
 
 
-def reference_finetune_grads(layers, head, mean, std, x, labels):
-    """Mean cross-entropy gradients of the unrolled sigmoid net and softmax head.
+def reference_finetune_grads(layers, head, mean, std, x, labels, step):
+    """Mean cross-entropy gradients of the unrolled sigmoid net and softmax head, times ``step``.
 
-    ``layers`` is a list of (W, hidden bias); ``head`` is (W, bias). Returns
-    ([(dW, dc), ...], (dW_head, db_head)).
+    ``layers`` is a list of (W, hidden bias); ``head`` is (W, bias). The
+    logits' gradient is scaled by step/n, so every gradient carries the
+    step. Returns ([(dW, dc), ...], (dW_head, db_head)).
     """
     activations = [(x - mean) / std]
     for w, c in layers:
@@ -224,7 +229,7 @@ def reference_finetune_grads(layers, head, mean, std, x, labels):
     n = x.shape[0]
     d_logits = np.exp(log_probs)
     d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
+    d_logits *= step / n
 
     d_head = (activations[-1].T @ d_logits, d_logits.sum(axis=0))
     d_layers = []
@@ -240,7 +245,7 @@ def reference_finetune_grads(layers, head, mean, std, x, labels):
 
 
 def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
-    """Momentum SGD on reference_finetune_grads, new arrays at every step.
+    """Momentum SGD on reference_finetune_grads at step lr, new arrays at every step.
 
     Returns (layers, head) after epochs_finetune epochs.
     """
@@ -252,21 +257,21 @@ def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
     for _ in range(cfg.epochs_finetune):
         for idx in _reference_batches(x.shape[0], cfg.batch_size, rng):
             d_layers, d_head = reference_finetune_grads(
-                layers, head, mean, std, x[idx], labels[idx]
+                layers, head, mean, std, x[idx], labels[idx], lr
             )
             for i, ((w, c), (vw, vc), (dw, dc)) in enumerate(
                 zip(layers, vel_layers, d_layers)
             ):
                 vw *= cfg.momentum
-                vw -= lr * dw
+                vw -= dw
                 vc *= cfg.momentum
-                vc -= lr * dc
+                vc -= dc
                 layers[i] = (w + vw, c + vc)
             vw, vb = vel_head
             vw *= cfg.momentum
-            vw -= lr * d_head[0]
+            vw -= d_head[0]
             vb *= cfg.momentum
-            vb -= lr * d_head[1]
+            vb -= d_head[1]
             head = (head[0] + vw, head[1] + vb)
     return layers, head
 

@@ -101,7 +101,7 @@ class TestParseArgs:
         [("--seed", "x"), ("--snrs", "0,abc"), ("--split-strategy", "bogus"),
          ("--hidden-sizes", ""), ("--snrs", "nan"), ("--snrs", "0,inf"),
          ("--hidden-sizes", "0"), ("--snrs", "0,10,0"), ("--snrs", "0,-0"),
-         ("--categories", "white,pink,white")],
+         ("--categories", "white,pink,white"), ("--seed", "-1")],
     )
     def test_bad_flag_value_exits_two(self, flag, text, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -115,7 +115,8 @@ class TestParseArgs:
          "noise_categories lists white more than once"),
         ("[dsp]\nfft_size = 500\n", "fft_size must be a power of two"),
         ("[dbn]\nlearning_rate_finetune = nan\n", "learning_rate_finetune must be finite"),
-    ], ids=["snrs_db", "noise_categories", "fft_size", "learning_rate_finetune"])
+        ("[pipeline]\nseed = -1\n", "seed must be nonnegative"),
+    ], ids=["snrs_db", "noise_categories", "fft_size", "learning_rate_finetune", "seed"])
     def test_repeated_config_value_exits_two(self, tmp_path, text, repeated, capsys):
         # also a value a nested config refuses; either way the message names the file
         cfg_file = tmp_path / "twice.cfg"

@@ -222,6 +222,25 @@ class TestCdUpdate:
                 np.testing.assert_array_equal(got, want)
 
 
+    def test_warm_step_allocates_less_than_one_weight_matrix(self):
+        # the statistic's stacks and the gradient buffer are reused after the
+        # first call; a small batch keeps the batch-sized temporaries well
+        # below one weight matrix
+        state = RbmState(random_rbm(300, 400, seed=34, scale=0.01))
+        batch = np.random.default_rng(35).random((16, 300))
+        rng = np.random.default_rng(36)
+        cd_update(state, batch, TrainConfig(), rng)
+        stacks = state.stack_visible, state.stack_hidden
+        tracemalloc.start()
+        try:
+            cd_update(state, batch[:9], TrainConfig(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.weights.nbytes
+        assert state.stack_visible is stacks[0] and state.stack_hidden is stacks[1]
+
+
 class TestTrainRbm:
     @pytest.mark.parametrize("kind", [GAUSSIAN, BERNOULLI])
     def test_ragged_last_minibatch_matches_reference(self, kind):
@@ -394,9 +413,11 @@ class TestFineTune:
             probs = forward(model, x)
             return -float(np.mean(np.log(probs[np.arange(12), y])))
 
+        weights = [r.weights for r in model.rbms] + [model.softmax_weights]
         _, d_layers, d_head = _loss_and_grads(
             [(r.weights, r.hidden_bias) for r in model.rbms],
             (model.softmax_weights, model.softmax_bias), model.input_mean, model.input_std, x, y,
+            1.0, [np.empty_like(w) for w in weights],
         )
         checks = []
         for i, rbm in enumerate(model.rbms):
@@ -617,7 +638,8 @@ class TestFloat32Training:
                             np.random.default_rng(53))
         for t in (state, trained):
             buffers = [t.weights, t.visible_bias, t.hidden_bias, t.velocity_weights,
-                       t.velocity_visible_bias, t.velocity_hidden_bias, t.grad, t.scratch]
+                       t.velocity_visible_bias, t.velocity_hidden_bias, t.grad,
+                       t.stack_visible, t.stack_hidden]
             assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
 
     def test_train_rbm_returns_float64(self):

@@ -143,6 +143,13 @@ class TestSplit:
         assert test_speakers and train_speakers
         assert not (train_speakers & test_speakers)
 
+    def test_leave_speakers_out_label_left_without_training_rejected(self):
+        # sadness is spoken by speaker 01 alone, and seed 1 sends 01 to test
+        manifest = [e for e in synthetic_manifest(per_label=10, n_speakers=5)
+                    if e.label != Label.SADNESS or e.speaker == "01"]
+        with pytest.raises(ValueError, match="label sadness .*leave_speakers_out"):
+            split(manifest, "leave_speakers_out", 0.2, seed=1)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             split(synthetic_manifest(), "stratified_random", 1.5, seed=0)
