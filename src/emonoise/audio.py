@@ -83,6 +83,8 @@ def read_wav(path) -> AudioClip:
                 raise WavFormatError(f"{path}: unsupported sample width ({bits}-bit, want 16)")
             if n_channels < 1:
                 raise WavFormatError(f"{path}: fmt chunk declares zero channels")
+            if sample_rate < 1:
+                raise WavFormatError(f"{path}: fmt chunk declares a 0 Hz sample rate")
         elif chunk_id == b"data":
             if n_channels is None:
                 raise WavFormatError(f"{path}: data chunk appears before fmt chunk")

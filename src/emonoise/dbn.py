@@ -18,6 +18,12 @@ concurrent read-only inference. A warm training step allocates no
 weight-sized array: a CD update is one GEMM over stacked, pre-scaled
 statistics and five passes over the weights, and fine-tuning's gradients
 come out already scaled by the learning rate, into buffers allocated once.
+Those passes run over row blocks of about 256 KB (``_row_blocks``), so
+each block is read from memory once and passed over in cache; every
+element still sees the same operations in the same order. Products with
+a transposed weight matrix are formed as (W @ X.T).T, which OpenBLAS runs
+faster than X @ W.T, to the same bits; the allocating reference tests,
+which keep X @ W.T, check that.
 
 ``Rbm`` and ``Dbn`` hold float64 only: they convert whatever arrays they
 are given. Training arithmetic runs in float32, on arrays that never leave
@@ -43,6 +49,9 @@ BERNOULLI = "bernoulli"
 
 N_LABELS = 7
 
+# bytes of each array that one row block of the training step's elementwise passes covers
+_BLOCK_BYTES = 1 << 18
+
 _MODEL_MAGIC = b"DBN1"
 _MODEL_VERSION = 1
 _KIND_CODES = {GAUSSIAN: 0, BERNOULLI: 1}
@@ -63,14 +72,18 @@ def sigmoid(x) -> np.ndarray:
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
-    """Overwrite the floating array ``z`` with sigmoid(z) in its own dtype; one scratch buffer."""
+    """Overwrite the floating array ``z`` with sigmoid(z) in its own dtype; one scratch buffer.
+
+    One exp: with e = exp(-|z|), exp(min(z, 0)) is max(z >= 0, e), since
+    e <= 1 and e is exp(z) where z < 0; NaN stays NaN.
+    """
     den = np.empty_like(z)
     np.abs(z, out=den)
     np.negative(den, out=den)
     np.exp(den, out=den)
+    np.greater_equal(z, 0.0, out=z)
+    np.maximum(z, den, out=z)
     den += 1.0
-    np.minimum(z, 0.0, out=z)
-    np.exp(z, out=z)
     z /= den
     return z
 
@@ -225,6 +238,14 @@ class RbmState:
                    visible_kind=self.visible_kind)
 
 
+def _row_blocks(*arrays: np.ndarray):
+    """Matching leading-axis slices of same-shaped arrays, about _BLOCK_BYTES of each."""
+    first = arrays[0]
+    step = max(1, _BLOCK_BYTES * len(first) // max(1, first.nbytes))
+    for start in range(0, len(first), step):
+        yield tuple(a[start : start + step] for a in arrays)
+
+
 def hidden_probs(rbm: Rbm | RbmState, v) -> np.ndarray:
     """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W). Accepts a batch.
 
@@ -244,13 +265,14 @@ def visible_recon(rbm: Rbm | RbmState, h) -> np.ndarray:
 
     Bernoulli units give probabilities sigmoid(visible_bias + h @ W.T);
     Gaussian units give the mean visible_bias + h @ W.T of the unit-variance
-    model. Computes in float32 for an RbmState and float64 for an Rbm, as
-    hidden_probs does.
+    model. The product is formed as (W @ h.T).T, so a batch comes back as a
+    column-major array. Computes in float32 for an RbmState and float64 for
+    an Rbm, as hidden_probs does.
     """
     h = np.asarray(h, dtype=rbm.weights.dtype)
     if h.shape[-1] != rbm.n_hidden:
         raise ValueError(f"hidden vector has {h.shape[-1]} entries, want {rbm.n_hidden}")
-    pre = h @ rbm.weights.T
+    pre = (rbm.weights @ h.T).T
     pre += rbm.visible_bias
     return _sigmoid_inplace(pre) if rbm.visible_kind == BERNOULLI else pre
 
@@ -272,7 +294,8 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     order: one GEMM [v0; vk]' [(lr/B)*p0; -(lr/B)*pk] over the state's
     stacks into ``grad``, then velocity *= momentum, velocity += grad,
     grad = (lr*decay)*W, velocity -= grad and W += velocity, five passes
-    over weight-sized arrays. The biases take lr times their mean
+    over weight-sized arrays that run block by block over rows
+    (``_row_blocks``). The biases take lr times their mean
     statistic into their momentum buffers. Returns the mean squared error
     between v0 and the first reconstruction.
     """
@@ -309,18 +332,18 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     stack_v[n:] = v_stat
     np.multiply(p0, lr / n, out=stack_h[:n])
     np.multiply(pk, -lr / n, out=stack_h[n:])
-    grad = state.grad
-    np.matmul(stack_v.T, stack_h, out=grad)
-    state.velocity_weights *= cfg.momentum
-    state.velocity_weights += grad
-    np.multiply(state.weights, lr * cfg.weight_decay, out=grad)
-    state.velocity_weights -= grad
+    np.matmul(stack_v.T, stack_h, out=state.grad)
+    for w, velocity, grad in _row_blocks(state.weights, state.velocity_weights, state.grad):
+        velocity *= cfg.momentum
+        velocity += grad
+        np.multiply(w, lr * cfg.weight_decay, out=grad)
+        velocity -= grad
+        w += velocity
     state.velocity_visible_bias *= cfg.momentum
     state.velocity_visible_bias += lr * (v0 - v_stat).mean(axis=0)
     state.velocity_hidden_bias *= cfg.momentum
     state.velocity_hidden_bias += lr * (p0 - pk).mean(axis=0)
 
-    state.weights += state.velocity_weights
     state.visible_bias += state.velocity_visible_bias
     state.hidden_bias += state.velocity_hidden_bias
     return float(np.mean(np.square(v0 - v1)))
@@ -473,14 +496,15 @@ def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray
     top = activations[-1]
     d_head = (np.matmul(top.T, d_logits, out=d_weights[-1]), d_logits.sum(axis=0))
     d_layers: list[tuple[np.ndarray, np.ndarray]] = []
-    delta = d_logits @ head[0].T
+    # (W @ X.T).T rather than X @ W.T: faster, same bits (see the module docstring)
+    delta = (head[0] @ d_logits.T).T
     for i in range(len(layers) - 1, -1, -1):
         act = activations[i + 1]
         dz = delta * act
         dz *= 1.0 - act
         d_layers.append((np.matmul(activations[i].T, dz, out=d_weights[i]), dz.sum(axis=0)))
         if i:
-            delta = dz @ layers[i][0].T
+            delta = (layers[i][0] @ dz.T).T
     d_layers.reverse()
     return loss, d_layers, d_head
 
@@ -496,7 +520,8 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     ``_loss_and_grads`` already scaled by the learning rate, the weight
     gradients in buffers allocated once, so each step makes three passes
     over every parameter (velocity *= momentum, velocity -= gradient,
-    parameter += velocity) and allocates no weight-sized array. Returns a
+    parameter += velocity), block by block over rows (``_row_blocks``),
+    and allocates no weight-sized array. Returns a
     new Dbn of the trained arrays upcast to float64, with the input's
     visible biases and standardization; the input is untouched.
     """
@@ -525,10 +550,11 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
             _, d_layers, d_head = _loss_and_grads(layers, head, mean, std, x[idx], y[idx],
                                                   lr, d_weights)
             grads = [*d_head, *(g for layer in d_layers for g in layer)]
-            for param, velocity, grad in zip(params, velocities, grads):
-                velocity *= cfg.momentum
-                velocity -= grad
-                param += velocity
+            for arrays in zip(params, velocities, grads):
+                for param, velocity, grad in _row_blocks(*arrays):
+                    velocity *= cfg.momentum
+                    velocity -= grad
+                    param += velocity
     # release the velocities and gradient buffers before the float64 copy is
     # built below: with them alive, that copy is the training stage's peak
     velocities = d_weights = d_layers = d_head = grads = None

@@ -77,17 +77,20 @@ class SegmentConfig:
 def frame_signal(samples, frame_len: int, hop: int) -> np.ndarray:
     """Slice a signal into frames starting at 0, hop, 2*hop, ...
 
-    Returns a new (n_frames, frame_len) array that the caller owns; the
-    tail that does not fill a whole frame is dropped (no zero padding).
-    Shorter-than-one-frame input yields zero frames.
+    Returns a read-only (n_frames, frame_len) view of the float64 samples:
+    frames overlap in memory and nothing is copied, so a caller that wants
+    to write copies first. The tail that does not fill a whole frame is
+    dropped (no zero padding). Shorter-than-one-frame input yields zero
+    frames.
     """
     if frame_len < 1 or hop < 1:
         raise ValueError("frame_len and hop must be at least 1")
     x = np.asarray(samples, dtype=np.float64)
     if x.size < frame_len:
-        return np.empty((0, frame_len))
-    windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)
-    return windows[::hop].copy()
+        frames = np.empty((0, frame_len))
+        frames.flags.writeable = False
+        return frames
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def hz_to_mel(f):
@@ -164,22 +167,30 @@ def frame_spectra(samples, cfg: MfccConfig) -> np.ndarray:
     """Complex ``rfft`` of each pre-emphasized, Hamming-windowed frame.
 
     Shape (n_frames, fft_size/2 + 1). Raises ValueError when the signal is
-    shorter than one frame.
+    shorter than one frame. Pre-emphasis is per frame: each frame's first
+    sample is kept as it is. The signal is pre-emphasized once, and the
+    frames of that are windowed straight into one zero-padded
+    (n_frames, fft_size) buffer; column 0 then gets the raw first samples,
+    windowed, so each element is computed as a per-frame filter would.
     """
-    emphasized = frame_signal(samples, cfg.frame_len, cfg.hop)
-    if emphasized.shape[0] == 0:
+    x = np.asarray(samples, dtype=np.float64)
+    raw = frame_signal(x, cfg.frame_len, cfg.hop)
+    if raw.shape[0] == 0:
         raise ValueError(
             f"clip of {len(samples)} samples is shorter than one frame ({cfg.frame_len})"
         )
-    # per-frame pre-emphasis, first sample kept; the right side is built before the subtraction
-    emphasized[:, 1:] -= cfg.preemph * emphasized[:, :-1]
+    emphasized = x.copy()
+    emphasized[1:] -= cfg.preemph * x[:-1]
 
     n = cfg.frame_len
     if n > 1:
         window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     else:
         window = np.ones(1)
-    return np.fft.rfft(emphasized * window, n=cfg.fft_size)
+    padded = np.zeros((raw.shape[0], cfg.fft_size))
+    np.multiply(frame_signal(emphasized, n, cfg.hop), window, out=padded[:, :n])
+    np.multiply(raw[:, 0], window[0], out=padded[:, 0])
+    return np.fft.rfft(padded)
 
 
 def mel_energies(a, b, cfg: MfccConfig, sample_rate_hz: int) -> np.ndarray:

@@ -58,6 +58,24 @@ def naive_dft(x):
     return x @ np.exp(-2j * np.pi * np.outer(k, k) / n).T
 
 
+def reference_frame_spectra(samples, cfg):
+    """Complex rfft of each frame, built frame by frame on a copy.
+
+    Copies the frames out of the signal, pre-emphasizes each one in place
+    (its first sample kept), multiplies by the Hamming window and lets
+    ``np.fft.rfft`` zero-pad to ``fft_size``.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop].copy()
+    frames[:, 1:] -= cfg.preemph * frames[:, :-1]
+    n = cfg.frame_len
+    if n > 1:
+        window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    else:
+        window = np.ones(1)
+    return np.fft.rfft(frames * window, n=cfg.fft_size)
+
+
 def binary_states(n):
     """All 2^n binary vectors as a (2^n, n) float array, LSB first."""
     return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.float64)

@@ -84,6 +84,13 @@ class TestReadWav:
         path.write_bytes(make_wav_bytes([10, 99, 20, 98], n_channels=2))
         np.testing.assert_allclose(read_wav(path).samples, [10 / 32768, 20 / 32768])
 
+    def test_zero_sample_rate_names_the_file(self, tmp_path):
+        path = tmp_path / "still.wav"
+        path.write_bytes(make_wav_bytes([0, 1], sample_rate=0))
+        with pytest.raises(WavFormatError) as excinfo:
+            read_wav(path)
+        assert str(excinfo.value) == f"{path}: fmt chunk declares a 0 Hz sample rate"
+
     def test_truncated_data(self, tmp_path):
         blob = make_wav_bytes([1, 2, 3, 4])
         path = tmp_path / "trunc.wav"

@@ -7,6 +7,9 @@ from emonoise.audio import AudioClip, write_wav
 from emonoise.cli import dispatch, main, parse_args
 from emonoise.config import _SCHEMA, RunConfig, load_config
 from emonoise.dbn import load_model, save_model
+from emonoise.pipeline import read_manifest
+
+from conftest import build_tone_corpus
 
 
 class TestParseArgs:
@@ -246,6 +249,22 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "softmax head must be finite" in err
         assert not (work / "report.csv").exists()
+
+    @pytest.mark.parametrize("split, stage", [("train", "train"), ("test", "evaluate")])
+    def test_short_utterance_error_names_its_wav(self, tmp_path, capsys, split, stage):
+        clean_dir, noise_dir = build_tone_corpus(tmp_path / "corpus", n_speakers=2)
+        work = tmp_path / "work"
+        extra = ["--clean-dir", str(clean_dir), "--noise-dir", str(noise_dir),
+                 "--work-dir", str(work), "--snrs", "0", "--hidden-sizes", "8",
+                 "--epochs-pretrain", "0", "--epochs-finetune", "0"]
+        assert main(["train", *extra]) == 0
+        short = next(e.path for e in read_manifest(work / "manifest.csv") if e.split == split)
+        write_wav(AudioClip(np.full(100, 0.1), 16000), short)
+        capsys.readouterr()
+        assert main([stage, *extra]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {short}: clip of 100 samples is shorter than one frame (400)"
+        )
 
     def test_empty_noise_file_exits_one(self, tiny_run_args, tmp_path, capsys):
         extra, work = tiny_run_args

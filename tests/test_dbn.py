@@ -88,6 +88,19 @@ class TestHiddenProbs:
         for value in x[:16]:
             assert sigmoid(value) == reference_sigmoid(value)
 
+    def test_float32_sigmoid_matches_two_branch_reference(self):
+        # the dtype training runs in; exp(-88.7) is subnormal and exp(-104) is 0 in float32
+        f32 = np.finfo(np.float32)
+        magnitudes = [0.0, f32.smallest_subnormal, 3 * f32.smallest_subnormal, 88.7, 104.0,
+                      np.inf]
+        x = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)] + [np.nan])
+        x = np.concatenate([x, np.random.default_rng(1).standard_normal(1000) * 40.0])
+        x = x.astype(np.float32)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = dbn_module._sigmoid_inplace(x.copy())
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, reference_sigmoid(x))
+
     def test_sigmoid_leaves_its_input_alone(self):
         x = np.array([-3.0, 0.0, 2.0])
         sigmoid(x)
@@ -197,12 +210,17 @@ class TestCdUpdate:
         )
         assert inner > 0.0
 
-    @pytest.mark.parametrize("kind", [GAUSSIAN, BERNOULLI])
+    # 300x700 float32 weights span several of the update's 256 KB row blocks,
+    # the last one ragged; 6x5 fits in one
+    @pytest.mark.parametrize("kind, shape", [
+        (GAUSSIAN, (6, 5)), (BERNOULLI, (6, 5)), (GAUSSIAN, (300, 700)), (BERNOULLI, (300, 700)),
+    ], ids=["gaussian", "bernoulli", "gaussian-300x700", "bernoulli-300x700"])
     @pytest.mark.parametrize("cd_steps", [1, 2])
-    def test_matches_allocating_reference(self, kind, cd_steps):
-        rbm = random_rbm(6, 5, kind=kind, seed=31, scale=0.4)
+    def test_matches_allocating_reference(self, kind, shape, cd_steps):
+        n_vis = shape[0]
+        rbm = random_rbm(*shape, kind=kind, seed=31, scale=0.4)
         rng = np.random.default_rng(32)
-        data = rng.random((9, 6)) if kind == BERNOULLI else rng.standard_normal((9, 6))
+        data = rng.random((9, n_vis)) if kind == BERNOULLI else rng.standard_normal((9, n_vis))
         cfg = TrainConfig(cd_steps=cd_steps, learning_rate_pretrain=0.3,
                           learning_rate_pretrain_gaussian=0.05)
         state = RbmState(rbm)
@@ -456,8 +474,11 @@ class TestFineTune:
         with pytest.raises(ValueError):
             fine_tune(small_dbn(), np.empty((0, 4)), [], TrainConfig(), seed=0)
 
-    def test_matches_allocating_reference(self):
-        model = small_dbn(seed=24, scale=0.5)
+    # hidden (300, 700) gives a 300x700 float32 weight matrix that spans several
+    # of the update's 256 KB row blocks, the last one ragged
+    @pytest.mark.parametrize("hidden", [(3, 3, 3), (300, 700)], ids=["4-3-3-3", "4-300-700"])
+    def test_matches_allocating_reference(self, hidden):
+        model = small_dbn(seed=24, scale=0.5, hidden=hidden)
         rng = np.random.default_rng(25)
         x = rng.standard_normal((23, 4))
         y = rng.integers(0, 7, size=23)

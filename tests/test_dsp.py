@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_dft
+from _oracles import naive_dft, reference_frame_spectra
 from emonoise.audio import AudioClip
 from emonoise.dsp import (
     MfccConfig,
@@ -114,11 +114,36 @@ class TestFrameSignal:
         np.testing.assert_array_equal(frames[1], x[4:10])
         np.testing.assert_array_equal(frames[2], x[8:14])
 
+    def test_frames_are_a_read_only_view(self):
+        x = np.arange(20.0)
+        frames = frame_signal(x, 6, 4)
+        assert np.shares_memory(frames, x)
+        for got in (frames, frame_signal(x[:5], 6, 4)):
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0.0
+
     @given(length=st.integers(0, 300), frame_len=st.integers(1, 60), hop=st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_count_formula_property(self, length, frame_len, hop):
         expected = sum(1 for s in range(0, max(length, 1), hop) if s + frame_len <= length)
         assert frame_signal(np.zeros(length), frame_len, hop).shape[0] == expected
+
+
+class TestFrameSpectra:
+    @pytest.mark.parametrize("cfg, length", [
+        (MfccConfig(), 16000),
+        (MfccConfig(frame_len=512), 4000),
+        (MfccConfig(frame_len=100, hop=250, fft_size=128), 4000),
+        (MfccConfig(frame_len=1, hop=3, fft_size=4), 100),
+        (MfccConfig(), 400),
+    ], ids=["default", "frame_len_is_fft_size", "hop_beyond_frame", "one_sample_frames",
+            "one_frame"])
+    def test_matches_copy_based_reference_bit_for_bit(self, cfg, length):
+        x = np.random.default_rng(length).uniform(-1, 1, length)
+        got = frame_spectra(x, cfg)
+        assert got.shape == (len(frame_signal(x, cfg.frame_len, cfg.hop)), cfg.fft_size // 2 + 1)
+        np.testing.assert_array_equal(got, reference_frame_spectra(x, cfg))
 
 
 class TestMelScale:

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from emonoise import pipeline
 from emonoise.audio import AudioClip, write_wav
 from emonoise.config import RunConfig
-from emonoise.dbn import BERNOULLI, GAUSSIAN, Dbn, Rbm, TrainConfig, fit_standardization
+from emonoise.dbn import (
+    BERNOULLI,
+    GAUSSIAN,
+    Dbn,
+    Rbm,
+    TrainConfig,
+    fit_standardization,
+    load_model,
+)
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
 from _oracles import reference_condition_segments, reference_evaluate
 from conftest import EMOTION_LETTERS, build_tone_corpus, tone_utterance
@@ -436,8 +444,9 @@ class TestSpectralMixing:
             assert report.segment_accuracy == segment_accuracy
 
     def test_work_per_utterance(self, tmp_path, monkeypatch):
-        # one forward call, one time-domain mixture per category and 1 + K FFT
-        # passes per utterance, whatever the number of SNRs
+        # one time-domain mixture per category and 1 + K FFT passes per
+        # utterance, whatever the number of SNRs, and one forward call per row
+        # block: the three short utterances' 63 rows make one block
         counts = Counter()
         for name in ("forward", "mix_at_snr", "frame_spectra", "mfcc"):
             def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
@@ -448,7 +457,44 @@ class TestSpectralMixing:
         reports = evaluate(constant_predictor(Label.ANGER), entries,
                            RunConfig(snrs_db=(0.0, 5.0, 10.0)), two_noises(8000))
         assert len(reports) == 1 + 2 * 3
-        assert counts == {"forward": 3, "mix_at_snr": 3 * 2, "frame_spectra": 3 * (1 + 2)}
+        assert counts == {"forward": 1, "mix_at_snr": 3 * 2, "frame_spectra": 3 * (1 + 2)}
+
+    def test_reports_do_not_depend_on_the_row_block(self, tmp_path, tone_corpus, monkeypatch):
+        clean_dir, noise_dir = tone_corpus
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0, 10.0), hidden_sizes=(32, 32),
+            train=TrainConfig(epochs_pretrain=5, epochs_finetune=100, batch_size=16,
+                              learning_rate_pretrain_gaussian=0.01, learning_rate_pretrain=0.1,
+                              learning_rate_finetune=0.1),
+        )
+        model = load_model(train_model(config))
+        entries = [e for e in read_manifest(pipeline.manifest_path(config)) if e.split == "test"]
+        noises = {"white": pipeline.load_noise(config, "white")}
+        calls = Counter()
+
+        def scored(block_rows):
+            monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", block_rows)
+            calls.clear()
+            return evaluate(model, entries, config, noises)
+
+        def counted(*args, _real=pipeline.forward):
+            calls["forward"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, "forward", counted)
+        want = scored(10**9)  # the whole split in one block
+        assert calls["forward"] == 1
+        # the trained model's votes vary, so a misplaced row would show
+        assert np.count_nonzero(sum(r.confusion for r in want).sum(axis=0)) > 1
+        per_utterance = scored(1)
+        assert calls["forward"] == len(entries)
+        several_per_block = scored(20)  # a few utterances a block, the last block ragged
+        assert 1 < calls["forward"] < len(entries)
+        for got in (per_utterance, several_per_block):
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a.confusion, b.confusion)
+                assert replace(a, confusion=None) == replace(b, confusion=None)
 
     @pytest.mark.parametrize("samples, noise, problem", [
         (np.zeros(9600), AudioClip(np.ones(8000), 16000), "clean clip is silent"),
