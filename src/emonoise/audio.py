@@ -196,13 +196,25 @@ def rms(samples) -> float:
 
 
 def noise_window(noise: AudioClip, length: int, offset: int) -> np.ndarray:
-    """Select ``length`` noise samples starting at ``offset``, looping if short."""
-    if len(noise) == 0:
+    """A new array of the ``length`` noise samples from ``offset`` on, looping if short.
+
+    Sample i is ``noise.samples[(offset + i) % len(noise)]``. The window is
+    one slice copy when it does not wrap, and otherwise the noise's tail
+    from ``offset % len(noise)``, any whole repeats and its head, joined.
+    """
+    n = len(noise)
+    if n == 0:
         raise ValueError("noise recording is empty")
     if offset < 0:
         raise ValueError("noise offset must be nonnegative")
-    idx = (offset + np.arange(length)) % len(noise)
-    return noise.samples[idx]
+    if length < 0:
+        raise ValueError("noise window length must be nonnegative")
+    samples = noise.samples
+    start = offset % n
+    if start + length <= n:
+        return samples[start:start + length].copy()
+    repeats, head = divmod(length - (n - start), n)
+    return np.concatenate([samples[start:], *([samples] * repeats), samples[:head]])
 
 
 def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float,

@@ -13,11 +13,25 @@ by ``config.apply_settings`` exactly as that key's value in a file would be.
 Exit codes: 0 success, 1 domain error (bad paths, malformed data), 2 usage
 error. Progress goes to stderr, a few lines per stage (``evaluate`` writes one
 for all its conditions); only ``report --print`` writes to stdout.
+
+Before it dispatches, ``main`` raises glibc's allocator thresholds
+(``mallopt(3)``): ``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD`` to
+64 MiB. A stage loads, transforms and scores one utterance after another, and
+each utterance frees arrays of a few hundred KB to a few MB. glibc's
+thresholds start at 128 KiB and rise only after the first large free, so
+until then a fresh stage process hands its heap back to the kernel after
+each utterance and page-faults it in again for the next. The values set are
+the ones glibc's own dynamic rule reaches at its 64-bit maximum, so a fresh
+stage starts where a warm process already is. Both are set because setting
+either one switches glibc's dynamic adjustment off. Only ``main`` does
+this, on Linux where libc has ``mallopt``; a program that imports the
+library keeps its own allocator. No output byte depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -132,7 +146,21 @@ def dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed heap memory for reuse (see the module docstring)."""
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args, config = parse_args(argv)
     return dispatch(args, config)
 

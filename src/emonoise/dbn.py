@@ -36,6 +36,7 @@ file, ``forward`` and the standardization.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -446,7 +447,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_activations(layers, head, mean, std, x2d: np.ndarray):
-    """Every layer's activations and the head's logits; ``layers`` lists (W, hidden bias)."""
+    """Every layer's activations and the head's logits; ``layers`` lists (W, hidden bias).
+
+    Backpropagation needs them all; ``forward``, which needs only the last,
+    has its own loop.
+    """
     activations = [(x2d - mean) / std]
     for w, c in layers:
         pre = activations[-1] @ w
@@ -460,16 +465,20 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     """Class probabilities for raw (unstandardized) input vectors.
 
     A deterministic mean-field pass: z-score, sigmoid layers, softmax head
-    with max-subtraction. Output rows sum to 1.
+    with max-subtraction. Output rows sum to 1. Each layer's activations
+    are dropped once the next layer's are built, so at most two are alive
+    at a time; the arithmetic is that of ``_forward_activations``, to the bit.
     """
     x = np.asarray(x, dtype=np.float64)
     x2d = np.atleast_2d(x)
     if x2d.shape[-1] != dbn.rbms[0].n_visible:
         raise ValueError(f"input rows have {x2d.shape[-1]} entries, want {dbn.rbms[0].n_visible}")
-    _, logits = _forward_activations([(r.weights, r.hidden_bias) for r in dbn.rbms],
-                                     (dbn.softmax_weights, dbn.softmax_bias),
-                                     dbn.input_mean, dbn.input_std, x2d)
-    probs = np.exp(_log_softmax(logits))
+    act = (x2d - dbn.input_mean) / dbn.input_std
+    for rbm in dbn.rbms:
+        act = act @ rbm.weights
+        act += rbm.hidden_bias
+        _sigmoid_inplace(act)
+    probs = np.exp(_log_softmax(act @ dbn.softmax_weights + dbn.softmax_bias))
     return probs[0] if x.ndim == 1 else probs
 
 
@@ -589,51 +598,56 @@ def save_model(dbn: Dbn, path) -> None:
 
 
 def load_model(path) -> Dbn:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.
+
+    Each array is read from the file straight into its own buffer, so the
+    model is held once, not also as the file's bytes. Every length the file
+    declares is checked against the file's size before its array is
+    allocated: a truncated or corrupt file raises ModelFormatError.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad model magic")
-    if len(blob) < 12:
-        raise ModelFormatError(f"{path}: truncated model header")
-    version, n_layers = struct.unpack_from("<II", blob, 4)
-    if version != _MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported model version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(12)
+        if header[:4] != _MODEL_MAGIC:
+            raise ModelFormatError(f"{path}: bad model magic")
+        if len(header) < 12:
+            raise ModelFormatError(f"{path}: truncated model header")
+        version, n_layers = struct.unpack_from("<II", header, 4)
+        if version != _MODEL_VERSION:
+            raise ModelFormatError(f"{path}: unsupported model version {version}")
 
-    pos = 12
+        def read_f64(count: int) -> np.ndarray:
+            if count * 8 > size - fh.tell():
+                raise ModelFormatError(f"{path}: truncated model file")
+            out = np.empty(count, dtype="<f8")
+            if fh.readinto(out) != out.nbytes:  # the file shrank while being read
+                raise ModelFormatError(f"{path}: truncated model file")
+            return out
 
-    def take_f64(count: int) -> np.ndarray:
-        nonlocal pos
-        end = pos + count * 8
-        if end > len(blob):
+        rbms: list[Rbm] = []
+        for _ in range(n_layers):
+            layer_header = fh.read(17)
+            if len(layer_header) < 17:
+                raise ModelFormatError(f"{path}: truncated model file")
+            rows, cols, kind_code = struct.unpack("<QQB", layer_header)
+            if kind_code not in _KIND_NAMES:
+                raise ModelFormatError(f"{path}: unknown visible kind code {kind_code}")
+            weights = read_f64(rows * cols).reshape(rows, cols)
+            rbms.append(
+                Rbm(weights, read_f64(rows), read_f64(cols), visible_kind=_KIND_NAMES[kind_code])
+            )
+        if not rbms:
+            raise ModelFormatError(f"{path}: model has no layers")
+
+        # the head width is implied: remaining = 8*(top*k + k + 2*n_input)
+        top, n_input = rbms[-1].n_hidden, rbms[0].n_visible
+        remaining = size - fh.tell()
+        if (remaining % 8 or (remaining // 8 - 2 * n_input) % (top + 1)
+                or remaining // 8 <= 2 * n_input):
             raise ModelFormatError(f"{path}: truncated model file")
-        out = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).copy()
-        pos = end
-        return out
-
-    rbms: list[Rbm] = []
-    for _ in range(n_layers):
-        if pos + 17 > len(blob):
-            raise ModelFormatError(f"{path}: truncated model file")
-        rows, cols, kind_code = struct.unpack_from("<QQB", blob, pos)
-        pos += 17
-        if kind_code not in _KIND_NAMES:
-            raise ModelFormatError(f"{path}: unknown visible kind code {kind_code}")
-        weights = take_f64(rows * cols).reshape(rows, cols)
-        rbms.append(
-            Rbm(weights, take_f64(rows), take_f64(cols), visible_kind=_KIND_NAMES[kind_code])
-        )
-    if not rbms:
-        raise ModelFormatError(f"{path}: model has no layers")
-
-    # the head width is implied: remaining = 8*(top*k + k + 2*n_input)
-    top, n_input = rbms[-1].n_hidden, rbms[0].n_visible
-    remaining = len(blob) - pos
-    if remaining % 8 or (remaining // 8 - 2 * n_input) % (top + 1) or remaining // 8 <= 2 * n_input:
-        raise ModelFormatError(f"{path}: truncated model file")
-    n_labels = (remaining // 8 - 2 * n_input) // (top + 1)
-    softmax_weights = take_f64(top * n_labels).reshape(top, n_labels)
-    softmax_bias = take_f64(n_labels)
-    mean = take_f64(n_input)
-    std = take_f64(n_input)
+        n_labels = (remaining // 8 - 2 * n_input) // (top + 1)
+        softmax_weights = read_f64(top * n_labels).reshape(top, n_labels)
+        softmax_bias = read_f64(n_labels)
+        mean = read_f64(n_input)
+        std = read_f64(n_input)
     return Dbn(rbms, softmax_weights, softmax_bias, input_mean=mean, input_std=std)

@@ -50,6 +50,12 @@ def reference_resample(x, source, target, ns):
     return out
 
 
+def reference_noise_window(noise, length, offset):
+    """The noise window by gather: sample i is noise.samples[(offset + i) % len(noise)]."""
+    idx = (offset + np.arange(length)) % len(noise)
+    return noise.samples[idx]
+
+
 def naive_dft(x):
     """O(N^2) discrete Fourier transform, e^{-2*pi*i*k*n/N} convention."""
     x = np.asarray(x, dtype=np.complex128)

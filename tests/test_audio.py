@@ -15,7 +15,7 @@ from emonoise.audio import (
     write_wav,
 )
 
-from _oracles import reference_resample
+from _oracles import reference_noise_window, reference_resample
 
 
 def make_wav_bytes(samples_int16, sample_rate=16000, n_channels=1, fmt_code=1, bits=16,
@@ -295,6 +295,37 @@ class TestMixAtSnr:
         for snr_db in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 mix_at_snr(clean, noise, snr_db)
+
+
+# window lengths and offsets, as functions of the noise length n, around where it wraps
+_WINDOW_LENGTHS = {"0": lambda n: 0, "1": lambda n: 1, "n-1": lambda n: n - 1,
+                   "n": lambda n: n, "n+1": lambda n: n + 1, "3n+2": lambda n: 3 * n + 2}
+_WINDOW_OFFSETS = {"0": lambda n: 0, "n-1": lambda n: n - 1, "n": lambda n: n,
+                   "2n+3": lambda n: 2 * n + 3}
+
+
+class TestNoiseWindow:
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("length", list(_WINDOW_LENGTHS))
+    @pytest.mark.parametrize("offset", list(_WINDOW_OFFSETS))
+    def test_matches_gather_reference(self, n, length, offset):
+        noise = AudioClip(np.random.default_rng(n).standard_normal(n), 16000)
+        length, offset = _WINDOW_LENGTHS[length](n), _WINDOW_OFFSETS[offset](n)
+        window = noise_window(noise, length, offset)
+        assert window.dtype == np.float64
+        np.testing.assert_array_equal(window, reference_noise_window(noise, length, offset))
+
+    @pytest.mark.parametrize("length, offset", [(3, 1), (12, 2)])
+    def test_returns_a_new_array(self, length, offset):
+        noise = AudioClip(np.arange(5.0), 16000)
+        window = noise_window(noise, length, offset)
+        assert not np.shares_memory(window, noise.samples)
+        window[:] = -1.0
+        np.testing.assert_array_equal(noise.samples, np.arange(5.0))
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            noise_window(AudioClip(np.ones(4), 16000), -1, 0)
 
 
 class TestAudioClip:

@@ -1,8 +1,15 @@
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emonoise
+from emonoise import cli
 from emonoise.audio import AudioClip, write_wav
 from emonoise.cli import dispatch, main, parse_args
 from emonoise.config import _SCHEMA, RunConfig, load_config
@@ -281,3 +288,44 @@ class TestDispatch:
         code = main(["evaluate", *extra])
         assert code == 1
         assert "train" in capsys.readouterr().err
+
+
+# 40 two-second clips through the MFCC front end; prints the minor faults the loop took
+_MFCC_LOOP = """
+import resource, sys
+import numpy as np
+from emonoise import cli
+from emonoise.audio import AudioClip
+from emonoise.dsp import mfcc
+if sys.argv[1] == "keep":
+    cli._keep_freed_heap()
+rng = np.random.default_rng(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(40):
+    mfcc(AudioClip(0.1 * rng.standard_normal(32000), 16000))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocator:
+    def test_main_sets_the_thresholds_before_parsing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(True))
+        with pytest.raises(SystemExit):
+            main(["--no-such-flag"])
+        assert calls == [True]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="sets glibc's allocator thresholds")
+    def test_fresh_process_reuses_its_freed_heap(self):
+        # with glibc's starting thresholds, each clip's freed arrays are trimmed
+        # off the heap and faulted back in for the next clip
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(emonoise.__file__).resolve().parents[1])
+        faults = {
+            mode: int(subprocess.run([sys.executable, "-c", _MFCC_LOOP, mode], env=env,
+                                     capture_output=True, text=True, check=True).stdout)
+            for mode in ("keep", "default")
+        }
+        assert faults["keep"] * 4 < faults["default"], faults

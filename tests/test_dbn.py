@@ -27,6 +27,8 @@ from emonoise.dbn import (
     Rbm,
     RbmState,
     TrainConfig,
+    _forward_activations,
+    _log_softmax,
     _loss_and_grads,
     cd_update,
     fine_tune,
@@ -409,6 +411,28 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(small_dbn(), np.zeros(5))
 
+    def test_matches_training_forward_pass(self):
+        model = small_dbn(seed=10, n_in=13, hidden=(40, 30, 50))
+        x = np.random.default_rng(4).standard_normal((60, 13))
+        _, logits = _forward_activations([(r.weights, r.hidden_bias) for r in model.rbms],
+                                         (model.softmax_weights, model.softmax_bias),
+                                         model.input_mean, model.input_std, x)
+        np.testing.assert_array_equal(forward(model, x), np.exp(_log_softmax(logits)))
+
+    def test_holds_two_activations_at_a_time(self):
+        # a pass that kept all four hidden layers alive, as backpropagation
+        # needs, would peak near five of these blocks with the sigmoid scratch
+        model = small_dbn(seed=11, n_in=13, hidden=(200, 200, 200, 200))
+        x = np.random.default_rng(5).standard_normal((400, 13))
+        block = x.shape[0] * 200 * 8
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block
+
 
 class TestFineTune:
     def test_zero_epochs_is_identity(self):
@@ -616,6 +640,29 @@ class TestPersistence:
         blob = path.read_bytes()
         save_model(load_model(path), path)
         assert path.read_bytes() == blob
+
+    def test_declared_size_beyond_the_file_rejected(self, tmp_path):
+        # the first layer's row count is checked against the file before anything is allocated
+        path = tmp_path / "huge.dbn"
+        save_model(small_dbn(seed=42), path)
+        blob = bytearray(path.read_bytes())
+        blob[12:20] = (1 << 40).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    def test_load_holds_the_model_once(self, tmp_path):
+        # each array is read into its own buffer; reading the whole file first doubles the peak
+        model = small_dbn(seed=44, hidden=(300, 300))
+        path = tmp_path / "model.dbn"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (path.stat().st_size - 12)
 
     def test_save_copies_no_parameter(self, tmp_path):
         # the file is written from the arrays' own buffers; a paper-width model is 24 MB
