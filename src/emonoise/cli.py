@@ -100,8 +100,8 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, RunConfig]:
     """Parse the command line into (namespace, RunConfig).
 
     Precedence: flags > config file > $EMONOISE_WORKDIR (work_dir only) >
-    built-in defaults. Usage problems, including a malformed config file,
-    exit with code 2.
+    built-in defaults. Usage problems, including a malformed or unreadable
+    config file, exit with code 2.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -109,8 +109,8 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, RunConfig]:
     try:
         config = load_config(args.config, base=base) if args.config else base
         config = _apply_overrides(config, args)
-    except FileNotFoundError as exc:
-        parser.error(f"config file not found: {exc.filename}")
+    except OSError as exc:
+        parser.error(f"cannot read config file {exc.filename}: {exc.strerror}")
     except (ConfigError, ValueError) as exc:
         parser.error(str(exc))
     return args, config

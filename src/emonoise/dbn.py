@@ -7,14 +7,15 @@ fine-tuning unrolls the stack into a sigmoid feedforward net with a softmax
 head and backpropagates mean cross-entropy.
 
 Callers pass raw feature vectors: pretrain_dbn fits the input z-score and
-stores it in the Dbn, and fine_tune and forward apply it. Every training
-routine is a pure function of its inputs and the seed it is given: repeated
-runs produce bit-identical parameters. Training updates private mutable
-arrays in place (an ``RbmState`` per RBM during pretraining, plain arrays
-for the weights, biases, head, standardization and velocities during
-fine-tuning) and freezes them into ``Rbm``/``Dbn`` values once, at the end.
-The returned models are never written again, so they are safe for
-concurrent read-only inference. A warm training step allocates no
+stores it in the Dbn; fine_tune z-scores its rows once, before the first
+epoch, and forward those of every call. Every training routine is a pure
+function of its inputs and the seed it is given: repeated runs produce
+bit-identical parameters. Training updates private mutable arrays in place
+(an ``RbmState`` per RBM during pretraining, plain arrays for the weights,
+biases, head and velocities during fine-tuning) and freezes them into
+``Rbm``/``Dbn`` values once, at the end. The returned models are never
+written again, so they are safe for concurrent read-only inference. A
+warm training step allocates no
 weight-sized array: a CD update is one GEMM over stacked, pre-scaled
 statistics and five passes over the weights, and fine-tuning's gradients
 come out already scaled by the learning rate, into buffers allocated once.
@@ -29,9 +30,10 @@ which keep X @ W.T, check that.
 are given. Training arithmetic runs in float32, on arrays that never leave
 the routine that made them: the ``RbmState`` buffers and CD statistics,
 the activations pretraining passes up the stack, and the fine-tuning
-arrays. ``freeze`` and ``fine_tune`` upcast once, so the trained
-parameters are float32-representable float64 values, as are the ``DBN1``
-file, ``forward`` and the standardization.
+arrays; ``hidden_probs`` and ``visible_recon`` take an ``RbmState`` and
+float32 rows and neither cast nor check them. ``freeze`` and ``fine_tune``
+upcast once, so the trained parameters are float32-representable float64
+values, as are the ``DBN1`` file, ``forward`` and the standardization.
 """
 
 from __future__ import annotations
@@ -63,20 +65,12 @@ class ModelFormatError(ValueError):
     """Model file is malformed: bad magic, wrong version, or truncated."""
 
 
-def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function, exp(min(x, 0)) / (1 + exp(-|x|)).
-
-    For x >= 0 that is 1 / (1 + e^-x) and for x < 0 it is e^x / (1 + e^x),
-    so neither exp can overflow and no per-element branch is needed.
-    """
-    return _sigmoid_inplace(np.array(x, dtype=np.float64))
-
-
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     """Overwrite the floating array ``z`` with sigmoid(z) in its own dtype; one scratch buffer.
 
-    One exp: with e = exp(-|z|), exp(min(z, 0)) is max(z >= 0, e), since
-    e <= 1 and e is exp(z) where z < 0; NaN stays NaN.
+    The stable form exp(min(z, 0)) / (1 + exp(-|z|)): neither exp can
+    overflow. One exp: with e = exp(-|z|), exp(min(z, 0)) is max(z >= 0, e),
+    since e <= 1 and e is exp(z) where z < 0; NaN stays NaN.
     """
     den = np.empty_like(z)
     np.abs(z, out=den)
@@ -247,35 +241,24 @@ def _row_blocks(*arrays: np.ndarray):
         yield tuple(a[start : start + step] for a in arrays)
 
 
-def hidden_probs(rbm: Rbm | RbmState, v) -> np.ndarray:
-    """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W). Accepts a batch.
-
-    Computes in the dtype of the layer's weights: float32 for an RbmState,
-    float64 for an Rbm.
-    """
-    v = np.asarray(v, dtype=rbm.weights.dtype)
-    if v.shape[-1] != rbm.n_visible:
-        raise ValueError(f"visible vector has {v.shape[-1]} entries, want {rbm.n_visible}")
-    pre = v @ rbm.weights
-    pre += rbm.hidden_bias
+def hidden_probs(state: RbmState, v: np.ndarray) -> np.ndarray:
+    """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W) for float32 rows ``v``, in float32."""
+    pre = v @ state.weights
+    pre += state.hidden_bias
     return _sigmoid_inplace(pre)
 
 
-def visible_recon(rbm: Rbm | RbmState, h) -> np.ndarray:
-    """Reconstruct visibles from hidden activity.
+def visible_recon(state: RbmState, h: np.ndarray) -> np.ndarray:
+    """Reconstruct visibles from float32 hidden rows ``h``, in float32.
 
     Bernoulli units give probabilities sigmoid(visible_bias + h @ W.T);
     Gaussian units give the mean visible_bias + h @ W.T of the unit-variance
     model. The product is formed as (W @ h.T).T, so a batch comes back as a
-    column-major array. Computes in float32 for an RbmState and float64 for
-    an Rbm, as hidden_probs does.
+    column-major array.
     """
-    h = np.asarray(h, dtype=rbm.weights.dtype)
-    if h.shape[-1] != rbm.n_hidden:
-        raise ValueError(f"hidden vector has {h.shape[-1]} entries, want {rbm.n_hidden}")
-    pre = (rbm.weights @ h.T).T
-    pre += rbm.visible_bias
-    return _sigmoid_inplace(pre) if rbm.visible_kind == BERNOULLI else pre
+    pre = (state.weights @ h.T).T
+    pre += state.visible_bias
+    return _sigmoid_inplace(pre) if state.visible_kind == BERNOULLI else pre
 
 
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -446,13 +429,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _forward_activations(layers, head, mean, std, x2d: np.ndarray):
-    """Every layer's activations and the head's logits; ``layers`` lists (W, hidden bias).
+def _forward_activations(layers, head, z: np.ndarray):
+    """Every layer's activations, ``z`` first, and the head's logits for standardized rows ``z``.
 
-    Backpropagation needs them all; ``forward``, which needs only the last,
-    has its own loop.
+    ``layers`` lists (W, hidden bias). Backpropagation needs them all;
+    ``forward``, which needs only the last, has its own loop.
     """
-    activations = [(x2d - mean) / std]
+    activations = [z]
     for w, c in layers:
         pre = activations[-1] @ w
         pre += c
@@ -462,40 +445,39 @@ def _forward_activations(layers, head, mean, std, x2d: np.ndarray):
 
 
 def forward(dbn: Dbn, x) -> np.ndarray:
-    """Class probabilities for raw (unstandardized) input vectors.
+    """Class probabilities for raw (unstandardized) input rows, or for one 1-D row.
 
-    A deterministic mean-field pass: z-score, sigmoid layers, softmax head
-    with max-subtraction. Output rows sum to 1. Each layer's activations
-    are dropped once the next layer's are built, so at most two are alive
-    at a time; the arithmetic is that of ``_forward_activations``, to the bit.
+    A deterministic float64 mean-field pass: z-score, sigmoid layers,
+    softmax head with max-subtraction. Output rows sum to 1. Each layer's
+    activations are dropped once the next layer's are built, so at most two
+    are alive at a time; the arithmetic is that of ``_forward_activations``
+    on the z-scored rows, to the bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    x2d = np.atleast_2d(x)
-    if x2d.shape[-1] != dbn.rbms[0].n_visible:
-        raise ValueError(f"input rows have {x2d.shape[-1]} entries, want {dbn.rbms[0].n_visible}")
-    act = (x2d - dbn.input_mean) / dbn.input_std
+    if x.shape[-1] != dbn.rbms[0].n_visible:
+        raise ValueError(f"input rows have {x.shape[-1]} entries, want {dbn.rbms[0].n_visible}")
+    act = (x - dbn.input_mean) / dbn.input_std
     for rbm in dbn.rbms:
         act = act @ rbm.weights
         act += rbm.hidden_bias
         _sigmoid_inplace(act)
-    probs = np.exp(_log_softmax(act @ dbn.softmax_weights + dbn.softmax_bias))
-    return probs[0] if x.ndim == 1 else probs
+    return np.exp(_log_softmax(act @ dbn.softmax_weights + dbn.softmax_bias))
 
 
-def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray,
-                    step: float, d_weights):
+def _loss_and_grads(layers, head, z: np.ndarray, labels: np.ndarray, step: float, d_weights):
     """Mean cross-entropy and its gradient for every parameter, times ``step``.
 
-    ``layers`` lists each sigmoid layer's (W, hidden bias) and ``head`` is
-    the softmax (W, bias). ``step``/n is folded into the logits' gradient,
-    so every gradient comes out scaled by ``step`` with no pass of its own.
+    ``z`` holds standardized rows. ``layers`` lists each sigmoid layer's
+    (W, hidden bias) and ``head`` is the softmax (W, bias). ``step``/n is
+    folded into the logits' gradient, so every gradient comes out scaled by
+    ``step`` with no pass of its own.
     ``d_weights`` holds one array per layer weight and one for the head's,
     of their shapes and dtype; the weight gradients are written into them.
     Returns (loss, [(dW_1, dc_1), ...], (dWs, dbs)).
     """
-    activations, logits = _forward_activations(layers, head, mean, std, x2d)
+    activations, logits = _forward_activations(layers, head, z)
     log_probs = _log_softmax(logits)
-    n = x2d.shape[0]
+    n = z.shape[0]
     loss = -float(log_probs[np.arange(n), labels].mean())
 
     d_logits = np.exp(log_probs)
@@ -521,18 +503,19 @@ def _loss_and_grads(layers, head, mean, std, x2d: np.ndarray, labels: np.ndarray
 def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     """Supervised fine-tuning: momentum SGD on mean cross-entropy.
 
-    ``data`` holds raw feature vectors (the Dbn's standardization is applied
-    inside the forward pass); ``labels`` are integer class indices; ``seed``
-    fixes the minibatch order. The loop updates plain float32 arrays in
-    place: each layer's weights and hidden bias, the head, the
-    standardization and one velocity per parameter. Gradients come out of
-    ``_loss_and_grads`` already scaled by the learning rate, the weight
-    gradients in buffers allocated once, so each step makes three passes
-    over every parameter (velocity *= momentum, velocity -= gradient,
-    parameter += velocity), block by block over rows (``_row_blocks``),
-    and allocates no weight-sized array. Returns a
-    new Dbn of the trained arrays upcast to float64, with the input's
-    visible biases and standardization; the input is untouched.
+    ``data`` holds raw feature vectors; ``labels`` are integer class
+    indices; ``seed`` fixes the minibatch order. The rows are cast to
+    float32 and z-scored once, before the first epoch, as (x - mean) / std
+    with the Dbn's standardization cast to float32; ``data`` itself is not
+    written. The loop updates plain float32 arrays in place: each layer's
+    weights and hidden bias, the head and one velocity per parameter.
+    Gradients come out of ``_loss_and_grads`` already scaled by the
+    learning rate, the weight gradients in buffers allocated once, so each
+    step makes three passes over every parameter (velocity *= momentum,
+    velocity -= gradient, parameter += velocity), block by block over rows
+    (``_row_blocks``), and allocates no weight-sized array. Returns a new
+    Dbn of the trained arrays upcast to float64, with the input's visible
+    biases and standardization; the input is untouched.
     """
     x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
@@ -540,13 +523,13 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
         raise ValueError("fine-tuning data must be a nonempty 2-D array")
     if y.shape != (x.shape[0],):
         raise ValueError("labels must align one-to-one with data rows")
-    if y.size and (y.min() < 0 or y.max() >= dbn.n_labels):
+    if y.min() < 0 or y.max() >= dbn.n_labels:
         raise ValueError(f"labels must lie in [0, {dbn.n_labels - 1}]")
 
     f32 = np.float32
     layers = [(r.weights.astype(f32), r.hidden_bias.astype(f32)) for r in dbn.rbms]
     head = (dbn.softmax_weights.astype(f32), dbn.softmax_bias.astype(f32))
-    mean, std = dbn.input_mean.astype(f32), dbn.input_std.astype(f32)
+    x = (x - dbn.input_mean.astype(f32)) / dbn.input_std.astype(f32)
     # the head first, then each layer's (W, c), as the gradients are listed below
     params = [*head, *(p for layer in layers for p in layer)]
     velocities = [np.zeros_like(p) for p in params]
@@ -556,8 +539,7 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     lr = cfg.learning_rate_finetune
     for _ in range(cfg.epochs_finetune):
         for idx in _minibatches(x.shape[0], cfg.batch_size, rng):
-            _, d_layers, d_head = _loss_and_grads(layers, head, mean, std, x[idx], y[idx],
-                                                  lr, d_weights)
+            _, d_layers, d_head = _loss_and_grads(layers, head, x[idx], y[idx], lr, d_weights)
             grads = [*d_head, *(g for layer in d_layers for g in layer)]
             for arrays in zip(params, velocities, grads):
                 for param, velocity, grad in _row_blocks(*arrays):

@@ -441,7 +441,11 @@ def _load_utterance(config: RunConfig, path: str) -> AudioClip:
 
 
 def resolve_noise_categories(config: RunConfig) -> list[str]:
-    """Validate and list the noise categories; fails fast on missing ones."""
+    """Validate and list the noise categories; fails fast on missing ones.
+
+    A category may not be named ``clean``: the report's clean row has that
+    condition name.
+    """
     noise_root = Path(config.noise_dir)
     if not noise_root.is_dir():
         raise ValueError(f"noise_dir {config.noise_dir!r} is not a directory")
@@ -452,6 +456,9 @@ def resolve_noise_categories(config: RunConfig) -> list[str]:
         if not names:
             raise ValueError(f"noise_dir {config.noise_dir!r} has no category subdirectories")
     for name in names:
+        if name == CLEAN_CONDITION:
+            raise ValueError(f"noise category {name!r} under {config.noise_dir!r} is refused: "
+                             "the clean condition has that name")
         category = noise_root / name
         if not category.is_dir():
             raise ValueError(f"noise category {name!r} not found under {config.noise_dir!r}")

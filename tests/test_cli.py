@@ -58,6 +58,12 @@ class TestParseArgs:
             parse_args(["run", "--config", "/nonexistent/exp.cfg"])
         assert exc.value.code == 2
 
+    def test_config_directory_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["prepare", "--config", str(tmp_path)])
+        assert exc.value.code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_malformed_config_reports_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("[pipeline]\nthis line has no equals sign\n")

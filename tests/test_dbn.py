@@ -38,7 +38,6 @@ from emonoise.dbn import (
     load_model,
     pretrain_dbn,
     save_model,
-    sigmoid,
     train_rbm,
     visible_recon,
 )
@@ -58,73 +57,71 @@ def zero_rbm(n_vis, n_hid, kind=BERNOULLI):
     return Rbm(np.zeros((n_vis, n_hid)), np.zeros(n_vis), np.zeros(n_hid), visible_kind=kind)
 
 
+def f32_ones(n):
+    return np.ones(n, dtype=np.float32)
+
+
 class TestHiddenProbs:
     def test_zero_parameters_give_half(self):
-        np.testing.assert_array_equal(hidden_probs(zero_rbm(3, 4), np.ones(3)), np.full(4, 0.5))
+        np.testing.assert_array_equal(hidden_probs(RbmState(zero_rbm(3, 4)), f32_ones(3)),
+                                      np.full(4, 0.5))
 
     def test_one_by_one(self):
-        rbm = Rbm(np.array([[1.0]]), np.zeros(1), np.zeros(1))
-        assert hidden_probs(rbm, np.array([1.0]))[0] == pytest.approx(0.7310585786300049, rel=1e-15)
+        state = RbmState(Rbm(np.array([[1.0]]), np.zeros(1), np.zeros(1)))
+        got = hidden_probs(state, f32_ones(1))
+        assert got.dtype == np.float32
+        assert got[0] == reference_sigmoid(np.float32(1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            hidden_probs(zero_rbm(3, 4), np.ones(5))
+            hidden_probs(RbmState(zero_rbm(3, 4)), f32_ones(5))
 
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=100, deadline=None)
     def test_sigmoid_symmetry(self, x):
-        assert sigmoid(-x) == pytest.approx(1.0 - float(sigmoid(x)), abs=1e-12)
+        pos, neg = dbn_module._sigmoid_inplace(np.array([x, -x]))
+        assert neg == pytest.approx(1.0 - pos, abs=1e-12)
 
     def test_batch_shape(self):
-        out = hidden_probs(zero_rbm(3, 4), np.zeros((5, 3)))
+        out = hidden_probs(RbmState(zero_rbm(3, 4)), np.zeros((5, 3), dtype=np.float32))
         assert out.shape == (5, 4)
 
-    def test_sigmoid_matches_two_branch_reference_at_extremes(self):
-        tiny = 5e-324  # the smallest subnormal
-        magnitudes = [0.0, tiny, 709.78, 710.0, 745.0, 746.0, 1e308, np.inf]
-        x = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
-        x = np.concatenate([x, np.random.default_rng(0).standard_normal(1000) * 40.0])
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            got = sigmoid(x)
-        np.testing.assert_array_equal(got, reference_sigmoid(x))
-        for value in x[:16]:
-            assert sigmoid(value) == reference_sigmoid(value)
-
-    def test_float32_sigmoid_matches_two_branch_reference(self):
-        # the dtype training runs in; exp(-88.7) is subnormal and exp(-104) is 0 in float32
-        f32 = np.finfo(np.float32)
-        magnitudes = [0.0, f32.smallest_subnormal, 3 * f32.smallest_subnormal, 88.7, 104.0,
-                      np.inf]
+    # float64 is the dtype of forward, float32 that of training. exp(-745) is
+    # subnormal and exp(-746) is 0 in float64; exp(-88.7) and exp(-104) in float32
+    @pytest.mark.parametrize("dtype, magnitudes, seed", [
+        (np.float64, [0.0, 5e-324, 709.78, 710.0, 745.0, 746.0, 1e308, np.inf], 0),
+        (np.float32, [0.0, np.finfo(np.float32).smallest_subnormal,
+                      3 * np.finfo(np.float32).smallest_subnormal, 88.7, 104.0, np.inf], 1),
+    ], ids=["float64", "float32"])
+    def test_sigmoid_matches_two_branch_reference(self, dtype, magnitudes, seed):
         x = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)] + [np.nan])
-        x = np.concatenate([x, np.random.default_rng(1).standard_normal(1000) * 40.0])
-        x = x.astype(np.float32)
+        x = np.concatenate([x, np.random.default_rng(seed).standard_normal(1000) * 40.0])
+        x = x.astype(dtype)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             got = dbn_module._sigmoid_inplace(x.copy())
-        assert got.dtype == np.float32
+        assert got.dtype == dtype
         np.testing.assert_array_equal(got, reference_sigmoid(x))
-
-    def test_sigmoid_leaves_its_input_alone(self):
-        x = np.array([-3.0, 0.0, 2.0])
-        sigmoid(x)
-        np.testing.assert_array_equal(x, [-3.0, 0.0, 2.0])
 
 
 class TestVisibleRecon:
     def test_zero_parameters_bernoulli(self):
-        np.testing.assert_array_equal(visible_recon(zero_rbm(3, 4), np.ones(4)), np.full(3, 0.5))
+        np.testing.assert_array_equal(visible_recon(RbmState(zero_rbm(3, 4)), f32_ones(4)),
+                                      np.full(3, 0.5))
 
     def test_zero_parameters_gaussian(self):
         np.testing.assert_array_equal(
-            visible_recon(zero_rbm(3, 4, GAUSSIAN), np.ones(4)), np.zeros(3)
+            visible_recon(RbmState(zero_rbm(3, 4, GAUSSIAN)), f32_ones(4)), np.zeros(3)
         )
 
     def test_gaussian_linear_map(self):
         rbm = Rbm(np.array([[1.0], [2.0]]), np.zeros(2), np.zeros(1), visible_kind=GAUSSIAN)
-        np.testing.assert_array_equal(visible_recon(rbm, np.array([1.0])), [1.0, 2.0])
+        got = visible_recon(RbmState(rbm), f32_ones(1))
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, [1.0, 2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            visible_recon(zero_rbm(3, 4), np.ones(3))
+            visible_recon(RbmState(zero_rbm(3, 4)), f32_ones(3))
 
 
 def rbm_params(rbm):
@@ -378,6 +375,14 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain_dbn(np.empty((0, 13)), [8], TrainConfig(epochs_pretrain=0), seed=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_data_unchanged(self, dtype):
+        # np.asarray hands back the caller's own array when its dtype already matches
+        data = np.random.default_rng(9).standard_normal((20, 5)).astype(dtype)
+        before = data.copy()
+        pretrain_dbn(data, [6, 4], TrainConfig(epochs_pretrain=1, batch_size=8), seed=10)
+        np.testing.assert_array_equal(data, before)
+
 
 class TestForward:
     def test_zero_head_is_uniform(self):
@@ -416,8 +421,15 @@ class TestForward:
         x = np.random.default_rng(4).standard_normal((60, 13))
         _, logits = _forward_activations([(r.weights, r.hidden_bias) for r in model.rbms],
                                          (model.softmax_weights, model.softmax_bias),
-                                         model.input_mean, model.input_std, x)
+                                         (x - model.input_mean) / model.input_std)
         np.testing.assert_array_equal(forward(model, x), np.exp(_log_softmax(logits)))
+
+    def test_one_row_matches_row_zero_of_a_batch(self):
+        model = small_dbn(seed=12, n_in=13, hidden=(40, 30, 50))
+        x = np.random.default_rng(6).standard_normal((60, 13))
+        probs = forward(model, x[0])
+        assert probs.shape == (7,)
+        np.testing.assert_allclose(probs, forward(model, x)[0], rtol=0, atol=1e-15)
 
     def test_holds_two_activations_at_a_time(self):
         # a pass that kept all four hidden layers alive, as backpropagation
@@ -458,8 +470,8 @@ class TestFineTune:
         weights = [r.weights for r in model.rbms] + [model.softmax_weights]
         _, d_layers, d_head = _loss_and_grads(
             [(r.weights, r.hidden_bias) for r in model.rbms],
-            (model.softmax_weights, model.softmax_bias), model.input_mean, model.input_std, x, y,
-            1.0, [np.empty_like(w) for w in weights],
+            (model.softmax_weights, model.softmax_bias), (x - model.input_mean) / model.input_std,
+            y, 1.0, [np.empty_like(w) for w in weights],
         )
         checks = []
         for i, rbm in enumerate(model.rbms):
@@ -497,6 +509,15 @@ class TestFineTune:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fine_tune(small_dbn(), np.empty((0, 4)), [], TrainConfig(), seed=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_data_unchanged(self, dtype):
+        # np.asarray hands back the caller's own array when its dtype already matches
+        data = np.random.default_rng(27).standard_normal((20, 4)).astype(dtype)
+        before = data.copy()
+        fine_tune(small_dbn(seed=28), data, np.arange(20) % 7,
+                  TrainConfig(epochs_finetune=2, batch_size=8), seed=29)
+        np.testing.assert_array_equal(data, before)
 
     # hidden (300, 700) gives a 300x700 float32 weight matrix that spans several
     # of the update's 256 KB row blocks, the last one ragged

@@ -628,6 +628,27 @@ class TestExperimentStages:
         assert not (work / "manifest.csv").exists()
         assert not (work / "model.dbn").exists()
 
+    @pytest.mark.parametrize("listed", [("white", "clean"), ()], ids=["listed", "discovered"])
+    def test_noise_category_named_clean_fails_before_training(self, tmp_path, tone_corpus,
+                                                              listed):
+        # the report's clean row is the condition "clean"; a noise category of
+        # that name would reach write_report only after the whole model trained
+        clean_dir, noise_dir = tone_corpus
+        noise_root = tmp_path / "noise"
+        for name in ("clean", "white"):
+            (noise_root / name).mkdir(parents=True)
+            shutil.copy(noise_dir / "white" / "ch01.wav", noise_root / name / "ch01.wav")
+        work = tmp_path / "work"
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_root), work_dir=str(work),
+            noise_categories=listed, snrs_db=(0.0,), hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        with pytest.raises(ValueError, match="noise category 'clean'"):
+            run_experiment(config)
+        assert not (work / "manifest.csv").exists()
+        assert not (work / "model.dbn").exists()
+
     @pytest.mark.parametrize("n_samples, rate", [(0, 16000), (1, 44100)],
                              ids=["empty", "empty_after_resampling"])
     def test_noise_file_without_samples_is_refused(self, tmp_path, n_samples, rate):
