@@ -20,10 +20,10 @@ FULL_SCALE = 32768.0  # one int16 quantization step is 1/32768
 # The support widens by source/target when downsampling so the anti-alias
 # cutoff stays at the output Nyquist.
 _KERNEL_TAPS = 64
-# Outputs per gather, and phase-table rows per build step: each chunk holds
-# chunk x taps values per temporary (about 6 MB at 178 taps), whatever the
-# clip length or the number of phases.
-_RESAMPLE_CHUNK = 4096
+# Bytes of each float64 (rows x taps) temporary that one gather of outputs, or
+# one build step of phase-table rows, makes: 184 rows at 178 taps, whatever the
+# clip length or the number of phases. Chunks this size also stay in cache.
+_RESAMPLE_CHUNK_BYTES = 1 << 18
 
 
 class WavFormatError(ValueError):
@@ -138,8 +138,9 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     source position n*down/up, so its kernel depends only on the phase
     (n*down) % up: one table row is built per phase and reused. Samples
     outside the clip count as zero. Memory is bounded by the phase table
-    plus a few _RESAMPLE_CHUNK x taps temporaries, whatever the clip length
-    and the number of phases.
+    plus a few temporaries of _RESAMPLE_CHUNK_BYTES each, whatever the clip
+    length and the number of phases. Each output is the same dot product of
+    its window and its phase's row, whatever the chunk size.
 
     Output length is round(len * target/source). Equal rates return the
     input samples unchanged.
@@ -160,14 +161,15 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     cutoff = min(1.0, ratio)  # relative to the source Nyquist
     half_width = (_KERNEL_TAPS / 2) / cutoff
     taps = np.arange(int(math.ceil(2 * half_width)) + 1)
+    chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * taps.size))
 
     # row p serves every output n with n % n_phases == p
     n_phases = min(up, out_len)
     frac = (np.arange(n_phases) * down % up) / up  # position past floor(n*down/up)
     lead = np.ceil(frac - half_width).astype(np.int64)  # first tap, relative to the floor
     table = np.empty((n_phases, taps.size))
-    for start in range(0, n_phases, _RESAMPLE_CHUNK):
-        rows = slice(start, start + _RESAMPLE_CHUNK)
+    for start in range(0, n_phases, chunk):
+        rows = slice(start, start + chunk)
         delta = frac[rows, None] - (lead[rows, None] + taps[None, :])
         window = np.where(
             np.abs(delta) <= half_width, 0.5 * (1.0 + np.cos(np.pi * delta / half_width)), 0.0
@@ -180,8 +182,8 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     windows = np.lib.stride_tricks.sliding_window_view(x, taps.size)
     lead += pad_left
     out = np.empty(out_len)
-    for start in range(0, out_len, _RESAMPLE_CHUNK):
-        n = np.arange(start, min(start + _RESAMPLE_CHUNK, out_len))
+    for start in range(0, out_len, chunk):
+        n = np.arange(start, min(start + chunk, out_len))
         row = n % n_phases
         out[n] = np.einsum("ij,ij->i", windows[n * down // up + lead[row]], table[row])
     return AudioClip(out, target_rate_hz)

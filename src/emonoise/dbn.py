@@ -7,33 +7,42 @@ fine-tuning unrolls the stack into a sigmoid feedforward net with a softmax
 head and backpropagates mean cross-entropy.
 
 Callers pass raw feature vectors: pretrain_dbn fits the input z-score and
-stores it in the Dbn; fine_tune z-scores its rows once, before the first
-epoch, and forward those of every call. Every training routine is a pure
-function of its inputs and the seed it is given: repeated runs produce
-bit-identical parameters. Training updates private mutable arrays in place
-(an ``RbmState`` per RBM during pretraining, plain arrays for the weights,
-biases, head and velocities during fine-tuning) and freezes them into
-``Rbm``/``Dbn`` values once, at the end. The returned models are never
-written again, so they are safe for concurrent read-only inference. A
-warm training step allocates no
-weight-sized array: a CD update is one GEMM over stacked, pre-scaled
-statistics and five passes over the weights, and fine-tuning's gradients
-come out already scaled by the learning rate, into buffers allocated once.
-Those passes run over row blocks of about 256 KB (``_row_blocks``), so
+stores it with the stack; fine_tune z-scores its rows once, before the
+first epoch, and forward those of every call. Every training routine is a
+pure function of its inputs and the seed it is given: repeated runs produce
+bit-identical parameters. A warm training step allocates no weight-sized
+array: a CD update is one GEMM over stacked, pre-scaled statistics and five
+passes over the weights, and fine-tuning's gradients come out already
+scaled by the learning rate, into buffers allocated once. Those passes, and
+every sigmoid, run over row blocks of about 256 KB (``_row_blocks``), so
 each block is read from memory once and passed over in cache; every
-element still sees the same operations in the same order. Products with
-a transposed weight matrix are formed as (W @ X.T).T, which OpenBLAS runs
+element still sees the same operations in the same order. Products with a
+transposed weight matrix are formed as (W @ X.T).T, which OpenBLAS runs
 faster than X @ W.T, to the same bits; the allocating reference tests,
 which keep X @ W.T, check that.
 
+Training keeps each weight matrix in one float32 array, from its draw to
+the end of fine-tuning, and makes it float64 at one point only: the
+``freeze`` at the end of ``fine_tune``.
+
+- ``pretrain_dbn`` draws each layer's weights into a float32 ``RbmState``
+  a row block at a time, and ``train_rbm`` advances it in place. While a
+  layer trains, the live arrays are its input activations, its state
+  (weights, momentum and gradient buffers) and the parameters of the
+  layers below. ``train_rbm`` releases the momentum and gradient buffers
+  before the next layer's activations are built.
+- ``pretrain_dbn`` returns the states with a float32 head and the float64
+  standardization as a ``DbnState``. ``fine_tune`` updates those same
+  weight, bias and head arrays in place, next to one velocity and one
+  gradient buffer per parameter. It releases both before it freezes the
+  state into the float64 ``Dbn``, the only model training builds.
+
 ``Rbm`` and ``Dbn`` hold float64 only: they convert whatever arrays they
-are given. Training arithmetic runs in float32, on arrays that never leave
-the routine that made them: the ``RbmState`` buffers and CD statistics,
-the activations pretraining passes up the stack, and the fine-tuning
-arrays; ``hidden_probs`` and ``visible_recon`` take an ``RbmState`` and
-float32 rows and neither cast nor check them. ``freeze`` and ``fine_tune``
-upcast once, so the trained parameters are float32-representable float64
+are given, so the trained parameters are float32-representable float64
 values, as are the ``DBN1`` file, ``forward`` and the standardization.
+A returned model is never written again, so it is safe for concurrent
+read-only inference. ``hidden_probs`` and ``visible_recon`` take an
+``RbmState`` and float32 rows, and neither cast nor check them.
 """
 
 from __future__ import annotations
@@ -66,20 +75,25 @@ class ModelFormatError(ValueError):
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
-    """Overwrite the floating array ``z`` with sigmoid(z) in its own dtype; one scratch buffer.
+    """Overwrite the floating array ``z`` with sigmoid(z) in its own dtype.
 
     The stable form exp(min(z, 0)) / (1 + exp(-|z|)): neither exp can
     overflow. One exp: with e = exp(-|z|), exp(min(z, 0)) is max(z >= 0, e),
-    since e <= 1 and e is exp(z) where z < 0; NaN stays NaN.
+    since e <= 1 and e is exp(z) where z < 0; NaN stays NaN. It runs over
+    row blocks (``_row_blocks``) with one block-sized scratch buffer, so an
+    activation matrix needs no scratch of its own size.
     """
-    den = np.empty_like(z)
-    np.abs(z, out=den)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.greater_equal(z, 0.0, out=z)
-    np.maximum(z, den, out=z)
-    den += 1.0
-    z /= den
+    den = None
+    for (block,) in _row_blocks(z):
+        # the first block's scratch, sliced for the ragged last one
+        den = np.empty_like(block) if den is None else den[: len(block)]
+        np.abs(block, out=den)
+        np.negative(den, out=den)
+        np.exp(den, out=den)
+        np.greater_equal(block, 0.0, out=block)
+        np.maximum(block, den, out=block)
+        den += 1.0
+        block /= den
     return z
 
 
@@ -197,22 +211,25 @@ class Dbn:
 
 
 class RbmState:
-    """The mutable float32 training copy of an Rbm, advanced in place by cd_update.
+    """One RBM's mutable float32 training arrays, advanced in place by cd_update.
 
     Holds the parameters, their momentum buffers, one weight-sized buffer
     for the scaled CD statistic (reused as the weight-decay scratch) and the
     two stacks that statistic is one GEMM over, all float32, so a warm
     training step allocates no weight-sized array. The stacks start empty
-    and grow to twice the largest batch seen. The Rbm it is made from is
-    never written; ``freeze`` returns the current parameters as a new,
-    validated float64 Rbm.
+    and grow to twice the largest batch seen. A float32 parameter array is
+    taken over as it is, so the state trains it in place; any other is cast
+    into a new one. ``train_rbm`` sets the momentum, gradient and stack
+    buffers to None once its epochs are done: only the parameters live on,
+    for the next layer's activations and for ``fine_tune``. ``freeze``
+    returns the current parameters as a new, validated float64 Rbm.
     """
 
-    def __init__(self, rbm: Rbm) -> None:
-        self.visible_kind = rbm.visible_kind
-        self.weights = rbm.weights.astype(np.float32)
-        self.visible_bias = rbm.visible_bias.astype(np.float32)
-        self.hidden_bias = rbm.hidden_bias.astype(np.float32)
+    def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
+        self.visible_kind = visible_kind
+        self.weights = np.asarray(weights, dtype=np.float32)
+        self.visible_bias = np.asarray(visible_bias, dtype=np.float32)
+        self.hidden_bias = np.asarray(hidden_bias, dtype=np.float32)
         self.velocity_weights = np.zeros_like(self.weights)
         self.velocity_visible_bias = np.zeros_like(self.visible_bias)
         self.velocity_hidden_bias = np.zeros_like(self.hidden_bias)
@@ -231,6 +248,27 @@ class RbmState:
     def freeze(self) -> Rbm:
         return Rbm(self.weights, self.visible_bias, self.hidden_bias,
                    visible_kind=self.visible_kind)
+
+
+@dataclass
+class DbnState:
+    """A pretrained stack in training form: what pretrain_dbn returns and fine_tune trains.
+
+    ``rbms`` are the layers' RbmStates, their CD buffers released; the head
+    is float32 and the standardization float64, as a Dbn stores it.
+    ``fine_tune`` updates the layers' weights and hidden biases and the head
+    in place; ``freeze`` upcasts them into a new, validated Dbn.
+    """
+
+    rbms: list[RbmState]
+    softmax_weights: np.ndarray
+    softmax_bias: np.ndarray
+    input_mean: np.ndarray
+    input_std: np.ndarray
+
+    def freeze(self) -> Dbn:
+        return Dbn([r.freeze() for r in self.rbms], self.softmax_weights, self.softmax_bias,
+                   input_mean=self.input_mean, input_std=self.input_std)
 
 
 def _row_blocks(*arrays: np.ndarray):
@@ -333,13 +371,21 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     return float(np.mean(np.square(v0 - v1)))
 
 
-def _init_rbm(n_visible: int, n_hidden: int, kind: str, rng: np.random.Generator) -> Rbm:
-    return Rbm(
-        weights=0.01 * rng.standard_normal((n_visible, n_hidden)),
-        visible_bias=np.zeros(n_visible),
-        hidden_bias=np.zeros(n_hidden),
-        visible_kind=kind,
-    )
+def _init_state(n_visible: int, n_hidden: int, kind: str, rng: np.random.Generator) -> RbmState:
+    """A new RbmState: weights 0.01 * N(0, 1), zero biases.
+
+    The weights are drawn in float64 one row block at a time and cast into
+    the float32 array, so no weight-sized float64 array exists. The random
+    stream and the values are those of one (n_visible, n_hidden) draw,
+    scaled by 0.01 and cast.
+    """
+    weights = np.empty((n_visible, n_hidden), dtype=np.float32)
+    for (rows,) in _row_blocks(weights):
+        draw = rng.standard_normal(rows.shape)
+        draw *= 0.01
+        rows[...] = draw
+    return RbmState(weights, np.zeros(n_visible, dtype=np.float32),
+                    np.zeros(n_hidden, dtype=np.float32), kind)
 
 
 def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
@@ -348,17 +394,20 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def train_rbm(rbm: Rbm, data: np.ndarray, cfg: TrainConfig,
+def train_rbm(state: RbmState, data: np.ndarray, cfg: TrainConfig,
               rng: np.random.Generator) -> RbmState:
-    """Run epochs_pretrain epochs of CD over shuffled minibatches.
+    """Run epochs_pretrain epochs of CD over shuffled minibatches, advancing ``state`` in place.
 
-    Returns the trained float32 RbmState; ``freeze`` turns it into an Rbm.
-    ``rbm`` itself is not modified.
+    Returns ``state``, its parameters trained and its momentum, gradient
+    and stack buffers set to None: nothing trains it by CD again, and at
+    1000x2000 the two weight-sized buffers hold 16 MB that the next layer's
+    activations and state would otherwise be built next to.
     """
-    state = RbmState(rbm)
     for _ in range(cfg.epochs_pretrain):
         for idx in _minibatches(data.shape[0], cfg.batch_size, rng):
             cd_update(state, data[idx], cfg, rng)
+    state.velocity_weights = state.velocity_visible_bias = state.velocity_hidden_bias = None
+    state.grad = state.stack_visible = state.stack_hidden = None
     return state
 
 
@@ -382,18 +431,22 @@ def fit_standardization(train_features):
     return mean, std
 
 
-def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
+def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> DbnState:
     """Greedy layerwise pretraining on raw feature vectors.
 
-    Fits the z-score on ``data``, stores it in the returned Dbn and
+    Fits the z-score on ``data``, stores it in the returned DbnState and
     pretrains on the standardized rows. ``hidden_sizes`` lists each hidden
     width, e.g. the paper's (1000, 1000, 2000); the input width is that of
     ``data``. Each RBM is trained on the deterministic hidden probabilities
     of the one below it; the softmax head over N_LABELS classes is randomly
-    initialized (seeded normal, sd 0.01). ``seed`` fixes every draw. The
-    standardized rows are cast to float32 once; each trained RbmState is
-    frozen into the Dbn's float64 Rbm, and, if another layer follows, gives
-    that layer its float32 activations.
+    initialized (seeded normal, sd 0.01). ``seed`` fixes every draw.
+    Everything stays float32: the standardized rows are cast once, each
+    layer's weights are drawn into its RbmState (``_init_state``), and
+    ``train_rbm`` returns that state with only its parameters left, which
+    give the next layer its activations. While a layer trains, its input
+    activations, its state and the parameters below it are alive. The head
+    is drawn in float64 and cast, as the weights are. ``fine_tune``
+    continues these arrays and freezes them into the float64 Dbn.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -404,24 +457,16 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     mean, std = fit_standardization(data)
 
     rng = np.random.default_rng(seed)
-    rbms: list[Rbm] = []
+    states: list[RbmState] = []
     activations = ((data - mean) / std).astype(np.float32)
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
         kind = GAUSSIAN if i == 0 else BERNOULLI
-        state = train_rbm(_init_rbm(n_vis, n_hid, kind, rng), activations, cfg, rng)
-        rbms.append(state.freeze())
+        states.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), activations, cfg, rng))
         if i + 2 < len(sizes):
-            activations = hidden_probs(state, activations)
-        # drop its weight-sized velocity and gradient buffers before the next layer trains
-        del state
+            activations = hidden_probs(states[-1], activations)
 
-    return Dbn(
-        rbms=rbms,
-        softmax_weights=0.01 * rng.standard_normal((sizes[-1], N_LABELS)),
-        softmax_bias=np.zeros(N_LABELS),
-        input_mean=mean,
-        input_std=std,
-    )
+    head = (0.01 * rng.standard_normal((sizes[-1], N_LABELS))).astype(np.float32)
+    return DbnState(states, head, np.zeros(N_LABELS, dtype=np.float32), mean, std)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -500,36 +545,39 @@ def _loss_and_grads(layers, head, z: np.ndarray, labels: np.ndarray, step: float
     return loss, d_layers, d_head
 
 
-def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
-    """Supervised fine-tuning: momentum SGD on mean cross-entropy.
+def fine_tune(state: DbnState, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
+    """Supervised fine-tuning of a pretrained stack: momentum SGD on mean cross-entropy.
 
     ``data`` holds raw feature vectors; ``labels`` are integer class
     indices; ``seed`` fixes the minibatch order. The rows are cast to
     float32 and z-scored once, before the first epoch, as (x - mean) / std
-    with the Dbn's standardization cast to float32; ``data`` itself is not
-    written. The loop updates plain float32 arrays in place: each layer's
-    weights and hidden bias, the head and one velocity per parameter.
-    Gradients come out of ``_loss_and_grads`` already scaled by the
-    learning rate, the weight gradients in buffers allocated once, so each
-    step makes three passes over every parameter (velocity *= momentum,
-    velocity -= gradient, parameter += velocity), block by block over rows
-    (``_row_blocks``), and allocates no weight-sized array. Returns a new
-    Dbn of the trained arrays upcast to float64, with the input's visible
-    biases and standardization; the input is untouched.
+    with the state's standardization cast to float32; ``data`` itself is
+    not written. The loop continues ``state``'s float32 arrays in place:
+    each layer's weights and hidden bias and the head. Next to them it
+    allocates one velocity per parameter and one gradient buffer per
+    weight matrix, so at most three float32 copies of each weight matrix
+    are alive. Gradients come out of ``_loss_and_grads`` already scaled by
+    the learning rate, so each step makes three passes over every
+    parameter (velocity *= momentum, velocity -= gradient, parameter +=
+    velocity), block by block over rows (``_row_blocks``), and allocates
+    no weight-sized array. The velocities and gradients are released, then
+    ``state`` is frozen: the returned Dbn holds the trained arrays upcast
+    to float64, the visible biases and the standardization.
     """
     x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
+    n_labels = state.softmax_bias.shape[0]
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("fine-tuning data must be a nonempty 2-D array")
     if y.shape != (x.shape[0],):
         raise ValueError("labels must align one-to-one with data rows")
-    if y.min() < 0 or y.max() >= dbn.n_labels:
-        raise ValueError(f"labels must lie in [0, {dbn.n_labels - 1}]")
+    if y.min() < 0 or y.max() >= n_labels:
+        raise ValueError(f"labels must lie in [0, {n_labels - 1}]")
 
     f32 = np.float32
-    layers = [(r.weights.astype(f32), r.hidden_bias.astype(f32)) for r in dbn.rbms]
-    head = (dbn.softmax_weights.astype(f32), dbn.softmax_bias.astype(f32))
-    x = (x - dbn.input_mean.astype(f32)) / dbn.input_std.astype(f32)
+    layers = [(r.weights, r.hidden_bias) for r in state.rbms]
+    head = (state.softmax_weights, state.softmax_bias)
+    x = (x - state.input_mean.astype(f32)) / state.input_std.astype(f32)
     # the head first, then each layer's (W, c), as the gradients are listed below
     params = [*head, *(p for layer in layers for p in layer)]
     velocities = [np.zeros_like(p) for p in params]
@@ -547,14 +595,10 @@ def fine_tune(dbn: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
                     velocity -= grad
                     param += velocity
     # release the velocities and gradient buffers before the float64 copy is
-    # built below: with them alive, that copy is the training stage's peak
+    # built below: with them alive, that copy would be the training stage's peak
     velocities = d_weights = d_layers = d_head = grads = None
-    # building the Dbn upcasts and checks that training left the weights and the head finite
-    return Dbn(
-        [Rbm(w, r.visible_bias, c, visible_kind=r.visible_kind)
-         for r, (w, c) in zip(dbn.rbms, layers)],
-        *head, input_mean=dbn.input_mean, input_std=dbn.input_std,
-    )
+    # freezing upcasts and checks that training left the weights and the head finite
+    return state.freeze()
 
 
 def _pack_f64(arr: np.ndarray) -> np.ndarray:

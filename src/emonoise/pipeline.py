@@ -584,6 +584,8 @@ def train_model(config: RunConfig, progress=None) -> Path:
     log(f"pretraining layers {[features.shape[1], *config.hidden_sizes]}")
     model = pretrain_dbn(features, config.hidden_sizes, config.train, config.seed)
     log(f"fine-tuning for {config.train.epochs_finetune} epochs")
+    # fine-tuning continues the pretrained float32 arrays; rebinding drops
+    # them once their float64 model exists
     model = fine_tune(model, features, labels, config.train, config.seed)
     path = model_path(config)
     # the old key goes first, so no failure in between leaves a key that

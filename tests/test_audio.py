@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from emonoise import audio
 from emonoise.audio import (
     AudioClip,
     WavFormatError,
@@ -200,6 +201,27 @@ class TestResample:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mib * 2**20, rate
+
+    def test_peak_memory_of_one_second_at_44k(self):
+        # the gathered windows and table rows of one chunk dominate: two 5.8 MB
+        # arrays when a chunk was 4096 outputs, two 256 KB arrays now; the
+        # padded input and the output take 0.5 MB
+        clip = AudioClip(np.random.default_rng(5).uniform(-1.0, 1.0, 44100), 44100)
+        tracemalloc.start()
+        try:
+            resample(clip, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("source,target", [(44100, 16000), (16000, 44100), (44101, 16000)])
+    def test_output_does_not_depend_on_the_chunk_size(self, source, target, monkeypatch):
+        clip = AudioClip(np.random.default_rng(6).uniform(-1.0, 1.0, source // 2), source)
+        want = resample(clip, target).samples
+        for chunk_bytes in (1 << 14, 1 << 25):
+            monkeypatch.setattr(audio, "_RESAMPLE_CHUNK_BYTES", chunk_bytes)
+            np.testing.assert_array_equal(resample(clip, target).samples, want)
 
     def test_bad_target_rate(self):
         with pytest.raises(ValueError):

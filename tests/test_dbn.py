@@ -23,6 +23,7 @@ from emonoise.dbn import (
     BERNOULLI,
     GAUSSIAN,
     Dbn,
+    DbnState,
     ModelFormatError,
     Rbm,
     RbmState,
@@ -61,20 +62,32 @@ def f32_ones(n):
     return np.ones(n, dtype=np.float32)
 
 
+def state_of(rbm):
+    """A float32 training copy of ``rbm``; the Rbm's float64 arrays are cast, never shared."""
+    return RbmState(rbm.weights, rbm.visible_bias, rbm.hidden_bias, rbm.visible_kind)
+
+
+def training_copy(dbn):
+    """The DbnState fine_tune takes, as float32 copies of a hand-built Dbn's arrays."""
+    f32 = np.float32
+    return DbnState([state_of(r) for r in dbn.rbms], dbn.softmax_weights.astype(f32),
+                    dbn.softmax_bias.astype(f32), dbn.input_mean, dbn.input_std)
+
+
 class TestHiddenProbs:
     def test_zero_parameters_give_half(self):
-        np.testing.assert_array_equal(hidden_probs(RbmState(zero_rbm(3, 4)), f32_ones(3)),
+        np.testing.assert_array_equal(hidden_probs(state_of(zero_rbm(3, 4)), f32_ones(3)),
                                       np.full(4, 0.5))
 
     def test_one_by_one(self):
-        state = RbmState(Rbm(np.array([[1.0]]), np.zeros(1), np.zeros(1)))
+        state = state_of(Rbm(np.array([[1.0]]), np.zeros(1), np.zeros(1)))
         got = hidden_probs(state, f32_ones(1))
         assert got.dtype == np.float32
         assert got[0] == reference_sigmoid(np.float32(1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            hidden_probs(RbmState(zero_rbm(3, 4)), f32_ones(5))
+            hidden_probs(state_of(zero_rbm(3, 4)), f32_ones(5))
 
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=100, deadline=None)
@@ -83,7 +96,7 @@ class TestHiddenProbs:
         assert neg == pytest.approx(1.0 - pos, abs=1e-12)
 
     def test_batch_shape(self):
-        out = hidden_probs(RbmState(zero_rbm(3, 4)), np.zeros((5, 3), dtype=np.float32))
+        out = hidden_probs(state_of(zero_rbm(3, 4)), np.zeros((5, 3), dtype=np.float32))
         assert out.shape == (5, 4)
 
     # float64 is the dtype of forward, float32 that of training. exp(-745) is
@@ -102,26 +115,49 @@ class TestHiddenProbs:
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, reference_sigmoid(x))
 
+    # 300x700 spans 4 row blocks in float32 and 7 in float64, the last one
+    # ragged; the column-major copy is how visible_recon returns a batch
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_over_row_blocks_matches_reference(self, dtype, order):
+        x = np.random.default_rng(2).standard_normal((300, 700)) * 40.0
+        x[5, :3] = [np.inf, -np.inf, np.nan]
+        x = np.asarray(x, dtype=dtype, order=order)
+        want = reference_sigmoid(x)
+        got = x.copy(order="K")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tracemalloc.start()
+            try:
+                dbn_module._sigmoid_inplace(got)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        # one block of scratch (whole rows, at most _BLOCK_BYTES) plus the
+        # iteration buffers numpy allocates for strided views, 8192 elements
+        # per operand; a scratch the size of x would take 840 KB or 1.7 MB
+        assert peak < 2 * dbn_module._BLOCK_BYTES
+
 
 class TestVisibleRecon:
     def test_zero_parameters_bernoulli(self):
-        np.testing.assert_array_equal(visible_recon(RbmState(zero_rbm(3, 4)), f32_ones(4)),
+        np.testing.assert_array_equal(visible_recon(state_of(zero_rbm(3, 4)), f32_ones(4)),
                                       np.full(3, 0.5))
 
     def test_zero_parameters_gaussian(self):
         np.testing.assert_array_equal(
-            visible_recon(RbmState(zero_rbm(3, 4, GAUSSIAN)), f32_ones(4)), np.zeros(3)
+            visible_recon(state_of(zero_rbm(3, 4, GAUSSIAN)), f32_ones(4)), np.zeros(3)
         )
 
     def test_gaussian_linear_map(self):
         rbm = Rbm(np.array([[1.0], [2.0]]), np.zeros(2), np.zeros(1), visible_kind=GAUSSIAN)
-        got = visible_recon(RbmState(rbm), f32_ones(1))
+        got = visible_recon(state_of(rbm), f32_ones(1))
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, [1.0, 2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            visible_recon(RbmState(zero_rbm(3, 4)), f32_ones(3))
+            visible_recon(state_of(zero_rbm(3, 4)), f32_ones(3))
 
 
 def rbm_params(rbm):
@@ -148,7 +184,7 @@ class TestCdUpdate:
         rbm = random_rbm(4, 3, seed=1)
         cfg = TrainConfig(learning_rate_pretrain=0.0, learning_rate_pretrain_gaussian=0.0,
                           weight_decay=0.0)
-        state = RbmState(rbm)
+        state = state_of(rbm)
         cd_update(state, binary_states(4)[:5], cfg, np.random.default_rng(0))
         assert_params_equal(state.freeze(), [rounded(p) for p in rbm_params(rbm)])
         assert not state.velocity_weights.any() and not state.velocity_hidden_bias.any()
@@ -157,7 +193,7 @@ class TestCdUpdate:
         rbm = random_rbm(4, 3, seed=2)
         batch = binary_states(4)[3:9]
         cfg = TrainConfig()
-        a, b = RbmState(rbm), RbmState(rbm)
+        a, b = state_of(rbm), state_of(rbm)
         ea = cd_update(a, batch, cfg, np.random.default_rng(7))
         eb = cd_update(b, batch, cfg, np.random.default_rng(7))
         assert ea == eb
@@ -168,18 +204,18 @@ class TestCdUpdate:
         pattern = np.tile([1.0, 0.0, 1.0], (8, 1))
         cfg = TrainConfig(learning_rate_pretrain=0.2, momentum=0.5, weight_decay=0.0)
         rng = np.random.default_rng(13)
-        state = RbmState(rbm)
+        state = state_of(rbm)
         errors = [cd_update(state, pattern, cfg, rng) for _ in range(50)]
         assert np.mean(errors[-10:]) < np.mean(errors[:10])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            cd_update(RbmState(zero_rbm(3, 2)), np.empty((0, 3)), TrainConfig(),
+            cd_update(state_of(zero_rbm(3, 2)), np.empty((0, 3)), TrainConfig(),
                       np.random.default_rng(0))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cd_update(RbmState(zero_rbm(3, 2)), np.zeros((4, 5)), TrainConfig(),
+            cd_update(state_of(zero_rbm(3, 2)), np.zeros((4, 5)), TrainConfig(),
                       np.random.default_rng(0))
 
     def test_cd1_direction_correlates_with_exact_gradient(self):
@@ -193,7 +229,7 @@ class TestCdUpdate:
         acc_c = np.zeros_like(rbm.hidden_bias)
         n_chains = 10_000
         for i in range(n_chains):
-            state = RbmState(rbm)
+            state = state_of(rbm)
             cd_update(state, data, cfg, np.random.default_rng(1000 + i))
             acc_w += state.weights - rbm.weights
             acc_b += state.visible_bias - rbm.visible_bias
@@ -222,7 +258,7 @@ class TestCdUpdate:
         data = rng.random((9, n_vis)) if kind == BERNOULLI else rng.standard_normal((9, n_vis))
         cfg = TrainConfig(cd_steps=cd_steps, learning_rate_pretrain=0.3,
                           learning_rate_pretrain_gaussian=0.05)
-        state = RbmState(rbm)
+        state = state_of(rbm)
         params = as_f32(rbm_params(rbm))
         velocity = tuple(np.zeros_like(p) for p in params)
         rng_new, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
@@ -243,7 +279,7 @@ class TestCdUpdate:
         # the statistic's stacks and the gradient buffer are reused after the
         # first call; a small batch keeps the batch-sized temporaries well
         # below one weight matrix
-        state = RbmState(random_rbm(300, 400, seed=34, scale=0.01))
+        state = state_of(random_rbm(300, 400, seed=34, scale=0.01))
         batch = np.random.default_rng(35).random((16, 300))
         rng = np.random.default_rng(36)
         cd_update(state, batch, TrainConfig(), rng)
@@ -264,13 +300,12 @@ class TestTrainRbm:
         rbm = random_rbm(5, 7, kind=kind, seed=41, scale=0.3)
         data = np.random.default_rng(42).random((10, 5))
         cfg = TrainConfig(epochs_pretrain=3, batch_size=4, cd_steps=2)
-        before = [p.copy() for p in rbm_params(rbm)]
-        trained = train_rbm(rbm, data, cfg, np.random.default_rng(43))
+        state = state_of(rbm)
+        trained = train_rbm(state, data, cfg, np.random.default_rng(43))
         want = reference_train_rbm(as_f32(rbm_params(rbm)), kind == GAUSSIAN,
                                    data.astype(np.float32), cfg, np.random.default_rng(43))
-        assert isinstance(trained, RbmState) and trained.visible_kind == kind
+        assert trained is state and trained.visible_kind == kind
         assert_params_equal(trained, want)
-        assert_params_equal(rbm, before)
 
     def test_calls_module_cd_update_once_per_minibatch(self, monkeypatch):
         # perfbench/tracing.py times CD steps by wrapping the module-global name
@@ -283,13 +318,14 @@ class TestTrainRbm:
 
         monkeypatch.setattr(dbn_module, "cd_update", counting)
         n, cfg = 10, TrainConfig(epochs_pretrain=3, batch_size=4)
-        train_rbm(random_rbm(5, 3), np.zeros((n, 5)), cfg, np.random.default_rng(0))
+        train_rbm(state_of(random_rbm(5, 3)), np.zeros((n, 5)), cfg, np.random.default_rng(0))
         assert len(calls) == cfg.epochs_pretrain * math.ceil(n / cfg.batch_size)
         assert calls == [4, 4, 2] * cfg.epochs_pretrain
 
     def test_signatures_the_tracer_reads(self):
-        assert list(inspect.signature(train_rbm).parameters) == ["rbm", "data", "cfg", "rng"]
-        assert list(inspect.signature(fine_tune).parameters) == ["dbn", "data", "labels", "cfg", "seed"]
+        assert list(inspect.signature(train_rbm).parameters) == ["state", "data", "cfg", "rng"]
+        assert list(inspect.signature(fine_tune).parameters) == ["state", "data", "labels", "cfg",
+                                                                 "seed"]
 
 
 def small_dbn(seed=5, n_in=4, hidden=(3, 3, 3), n_labels=7, scale=0.6):
@@ -325,17 +361,20 @@ class TestPretrain:
         assert model.softmax_weights.shape == (2000, 7)
 
     def test_zero_epochs_retains_seeded_initialization(self):
+        # the 300x700 layer is drawn over 4 row blocks, the last one ragged;
+        # its values and the stream after it are those of one draw
         data = np.random.default_rng(0).standard_normal((10, 13))
         cfg = TrainConfig(epochs_pretrain=0)
-        model = pretrain_dbn(data, [8, 8, 16], cfg, seed=99)
+        model = pretrain_dbn(data, [8, 300, 700], cfg, seed=99)
         replay = np.random.default_rng(99)
-        for rbm, (nv, nh) in zip(model.rbms, [(13, 8), (8, 8), (8, 16)]):
+        for rbm, (nv, nh) in zip(model.rbms, [(13, 8), (8, 300), (300, 700)], strict=True):
+            assert rbm.weights.dtype == np.float32
             np.testing.assert_array_equal(
                 rbm.weights, rounded(0.01 * replay.standard_normal((nv, nh)))
             )
             assert not rbm.visible_bias.any() and not rbm.hidden_bias.any()
         np.testing.assert_array_equal(
-            model.softmax_weights, 0.01 * replay.standard_normal((16, 7))
+            model.softmax_weights, rounded(0.01 * replay.standard_normal((700, 7)))
         )
         mean, std = fit_standardization(data)
         np.testing.assert_array_equal(model.input_mean, mean)
@@ -360,7 +399,7 @@ class TestPretrain:
         layers, head = reference_pretrain_dbn(data, [6, 4, 8], cfg, seed=8)
         for rbm, params in zip(model.rbms, layers, strict=True):
             assert_params_equal(rbm, params)
-        np.testing.assert_array_equal(model.softmax_weights, head)
+        np.testing.assert_array_equal(model.softmax_weights, rounded(head))
         assert not model.softmax_bias.any()
         mean, std = fit_standardization(data)
         np.testing.assert_array_equal(model.input_mean, mean)
@@ -451,7 +490,7 @@ class TestFineTune:
         model = small_dbn(seed=14)
         x = np.random.default_rng(3).standard_normal((10, 4))
         y = np.arange(10) % 7
-        tuned = fine_tune(model, x, y, TrainConfig(epochs_finetune=0), seed=0)
+        tuned = fine_tune(training_copy(model), x, y, TrainConfig(epochs_finetune=0), seed=0)
         for before, after in zip(model.rbms, tuned.rbms):
             np.testing.assert_array_equal(rounded(before.weights), after.weights)
         np.testing.assert_array_equal(rounded(model.softmax_weights), tuned.softmax_weights)
@@ -497,25 +536,28 @@ class TestFineTune:
             probs = forward(m, x)
             return -float(np.mean(np.log(probs[np.arange(len(y)), y])))
 
-        after_one = fine_tune(model, x, y, TrainConfig(epochs_finetune=1, batch_size=16), seed=3)
-        after_fifty = fine_tune(model, x, y, TrainConfig(epochs_finetune=50, batch_size=16), seed=3)
+        after_one = fine_tune(training_copy(model), x, y,
+                              TrainConfig(epochs_finetune=1, batch_size=16), seed=3)
+        after_fifty = fine_tune(training_copy(model), x, y,
+                                TrainConfig(epochs_finetune=50, batch_size=16), seed=3)
         assert mean_ce(after_fifty) < mean_ce(after_one)
 
     def test_label_out_of_range_rejected(self):
         model = small_dbn()
         with pytest.raises(ValueError, match="labels"):
-            fine_tune(model, np.zeros((3, 4)), [0, 7, 1], TrainConfig(epochs_finetune=1), seed=0)
+            fine_tune(training_copy(model), np.zeros((3, 4)), [0, 7, 1], TrainConfig(epochs_finetune=1),
+                      seed=0)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fine_tune(small_dbn(), np.empty((0, 4)), [], TrainConfig(), seed=0)
+            fine_tune(training_copy(small_dbn()), np.empty((0, 4)), [], TrainConfig(), seed=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_leaves_data_unchanged(self, dtype):
         # np.asarray hands back the caller's own array when its dtype already matches
         data = np.random.default_rng(27).standard_normal((20, 4)).astype(dtype)
         before = data.copy()
-        fine_tune(small_dbn(seed=28), data, np.arange(20) % 7,
+        fine_tune(training_copy(small_dbn(seed=28)), data, np.arange(20) % 7,
                   TrainConfig(epochs_finetune=2, batch_size=8), seed=29)
         np.testing.assert_array_equal(data, before)
 
@@ -530,9 +572,9 @@ class TestFineTune:
         def params(m):
             return [p for r in m.rbms for p in rbm_params(r)] + [m.softmax_weights, m.softmax_bias]
 
-        before = [p.copy() for p in params(model)]
         cfg = TrainConfig(epochs_finetune=4, batch_size=8, learning_rate_finetune=0.5)
-        tuned = fine_tune(model, x, y, cfg, seed=26)
+        state = training_copy(model)
+        tuned = fine_tune(state, x, y, cfg, seed=26)
         layers, head = reference_fine_tune(
             [as_f32((r.weights, r.hidden_bias)) for r in model.rbms],
             as_f32((model.softmax_weights, model.softmax_bias)),
@@ -544,7 +586,9 @@ class TestFineTune:
             np.testing.assert_array_equal(rbm.hidden_bias, c)
         np.testing.assert_array_equal(tuned.softmax_weights, head[0])
         np.testing.assert_array_equal(tuned.softmax_bias, head[1])
-        for a, b in zip(before, params(model)):
+        # the state's own arrays were trained: the Dbn is their float64 copy
+        for a, b in zip(params(state), params(tuned), strict=True):
+            assert a.dtype == np.float32
             np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_result(self):
@@ -552,8 +596,8 @@ class TestFineTune:
         x = np.random.default_rng(23).standard_normal((30, 4))
         y = np.arange(30) % 7
         cfg = TrainConfig(epochs_finetune=5, batch_size=8)
-        a = fine_tune(model, x, y, cfg, seed=6)
-        b = fine_tune(model, x, y, cfg, seed=6)
+        a = fine_tune(training_copy(model), x, y, cfg, seed=6)
+        b = fine_tune(training_copy(model), x, y, cfg, seed=6)
         np.testing.assert_array_equal(a.softmax_weights, b.softmax_weights)
         for ra, rb in zip(a.rbms, b.rbms):
             np.testing.assert_array_equal(ra.weights, rb.weights)
@@ -721,38 +765,81 @@ class TestFloat32Training:
     """Training state is float32; every Rbm and Dbn is float64."""
 
     def test_state_is_float32(self):
-        state = RbmState(random_rbm(5, 4, seed=50))
-        trained = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
+        state = state_of(random_rbm(5, 4, seed=50))
+        buffers = [state.weights, state.visible_bias, state.hidden_bias, state.velocity_weights,
+                   state.velocity_visible_bias, state.velocity_hidden_bias, state.grad,
+                   state.stack_visible, state.stack_hidden]
+        assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
+        trained = train_rbm(state, np.random.default_rng(52).random((9, 5)),
                             TrainConfig(epochs_pretrain=2, batch_size=4),
                             np.random.default_rng(53))
-        for t in (state, trained):
-            buffers = [t.weights, t.visible_bias, t.hidden_bias, t.velocity_weights,
-                       t.velocity_visible_bias, t.velocity_hidden_bias, t.grad,
-                       t.stack_visible, t.stack_hidden]
-            assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
+        params = rbm_params(trained)
+        assert [p.dtype for p in params] == [np.float32] * 3
+
+    def test_train_rbm_releases_its_cd_buffers(self):
+        # the next layer's activations are built without them
+        trained = train_rbm(state_of(random_rbm(5, 4, seed=51)),
+                            np.random.default_rng(52).random((9, 5)),
+                            TrainConfig(epochs_pretrain=2, batch_size=4),
+                            np.random.default_rng(53))
+        assert [trained.velocity_weights, trained.velocity_visible_bias,
+                trained.velocity_hidden_bias, trained.grad, trained.stack_visible,
+                trained.stack_hidden] == [None] * 6
+
+    def test_float32_arrays_are_taken_over(self):
+        w, b, c = (np.zeros(shape, dtype=np.float32) for shape in ((3, 2), 3, 2))
+        state = RbmState(w, b, c)
+        assert state.weights is w and state.visible_bias is b and state.hidden_bias is c
 
     def test_train_rbm_returns_float64(self):
-        trained = train_rbm(random_rbm(5, 4, seed=51), np.random.default_rng(52).random((9, 5)),
+        trained = train_rbm(state_of(random_rbm(5, 4, seed=51)),
+                            np.random.default_rng(52).random((9, 5)),
                             TrainConfig(epochs_pretrain=2, batch_size=4),
                             np.random.default_rng(53))
         assert_float64_from_float32(rbm_params(trained.freeze()))
 
-    def test_pretrain_and_fine_tune_return_float64(self):
+    def test_pretrain_returns_float32_and_fine_tune_float64(self):
         data = np.random.default_rng(54).standard_normal((20, 4))
         cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
         pretrained = pretrain_dbn(data, [5, 6], cfg, seed=55)
-        tuned = fine_tune(pretrained, data, np.arange(20) % 7, cfg, seed=56)
-        for model in (pretrained, tuned):
-            assert_float64_from_float32([a for r in model.rbms for a in rbm_params(r)])
-        # pretraining draws the head in float64 and leaves it untrained
-        assert pretrained.softmax_weights.dtype == np.float64
-        assert_float64_from_float32([tuned.softmax_weights, tuned.softmax_bias])
+        arrays = [a for r in pretrained.rbms for a in rbm_params(r)]
+        arrays += [pretrained.softmax_weights, pretrained.softmax_bias]
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
         # the standardization is fitted and kept in float64, never rounded
         mean, std = fit_standardization(data)
-        for model in (pretrained, tuned):
-            np.testing.assert_array_equal(model.input_mean, mean)
-            np.testing.assert_array_equal(model.input_std, std)
+        np.testing.assert_array_equal(pretrained.input_mean, mean)
+        np.testing.assert_array_equal(pretrained.input_std, std)
+
+        tuned = fine_tune(pretrained, data, np.arange(20) % 7, cfg, seed=56)
+        assert_float64_from_float32([a for r in tuned.rbms for a in rbm_params(r)])
+        assert_float64_from_float32([tuned.softmax_weights, tuned.softmax_bias])
+        np.testing.assert_array_equal(tuned.input_mean, mean)
+        np.testing.assert_array_equal(tuned.input_std, std)
         assert forward(tuned, data).dtype == np.float64
+
+    def test_training_holds_one_copy_of_each_weight_matrix(self):
+        # 13-500-1000 at batch 16: the 500x1000 layer's float32 weights are
+        # 2 MB over 8 row blocks, its input activations 1 MB. Drawing the
+        # weights in float64 would add 4 MB, and so would fine-tuning next to
+        # a float64 copy of the pretrained model
+        n, widths = 512, [500, 1000]
+        rng = np.random.default_rng(58)
+        data = rng.standard_normal((n, 13))
+        labels = np.arange(n) % 7
+        cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, batch_size=16)
+        largest = widths[0] * widths[1] * 4
+        activations = n * widths[0] * 4
+        # minibatch-sized temporaries, the CD stacks and the input rows took
+        # 0.6 MB; freezing the float64 model at the end takes 4 MB next to
+        # the float32 2 MB, once the velocities and gradients are gone
+        slack = 3 << 19
+        tracemalloc.start()
+        try:
+            fine_tune(pretrain_dbn(data, widths, cfg, seed=59), data, labels, cfg, seed=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < activations + 3 * largest + slack
 
     def test_models_hold_float64_whatever_they_are_given(self):
         f32 = np.float32
