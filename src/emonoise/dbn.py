@@ -21,9 +21,9 @@ transposed weight matrix are formed as (W @ X.T).T, which OpenBLAS runs
 faster than X @ W.T, to the same bits; the allocating reference tests,
 which keep X @ W.T, check that.
 
-Training keeps each weight matrix in one float32 array, from its draw to
-the end of fine-tuning, and makes it float64 at one point only: the
-``freeze`` at the end of ``fine_tune``.
+The model is float32 from training to scoring: each weight matrix is
+drawn into one float32 array, and that array is trained, saved, loaded
+and scored with. Only the input standardization is float64.
 
 - ``pretrain_dbn`` draws each layer's weights into a float32 ``RbmState``
   a row block at a time, and ``train_rbm`` advances it in place. While a
@@ -31,18 +31,23 @@ the end of fine-tuning, and makes it float64 at one point only: the
   (weights, momentum and gradient buffers) and the parameters of the
   layers below. ``train_rbm`` releases the momentum and gradient buffers
   before the next layer's activations are built.
-- ``pretrain_dbn`` returns the states with a float32 head and the float64
-  standardization as a ``DbnState``. ``fine_tune`` updates those same
-  weight, bias and head arrays in place, next to one velocity and one
-  gradient buffer per parameter. It releases both before it freezes the
-  state into the float64 ``Dbn``, the only model training builds.
+- ``pretrain_dbn`` returns a ``Dbn`` of the states' weights and hidden
+  biases (the visible biases serve CD only and are dropped), a float32
+  head and the float64 standardization. ``fine_tune`` updates those same
+  arrays in place, next to one velocity and one gradient buffer per
+  parameter, and returns the model.
+- ``save_model`` writes a ``DBN2`` file: the layers and the head as
+  float32, the standardization as float64. ``load_model`` refuses the
+  float64 ``DBN1`` files of earlier versions and asks for the train stage
+  to be run again.
+- ``forward`` z-scores in float64, casts the rows to float32 once, runs
+  the layers and the head in float32 and takes the softmax in float64, so
+  each row of probabilities sums to 1 to float64 rounding.
 
-``Rbm`` and ``Dbn`` hold float64 only: they convert whatever arrays they
-are given, so the trained parameters are float32-representable float64
-values, as are the ``DBN1`` file, ``forward`` and the standardization.
-A returned model is never written again, so it is safe for concurrent
-read-only inference. ``hidden_probs`` and ``visible_recon`` take an
-``RbmState`` and float32 rows, and neither cast nor check them.
+A model that ``fine_tune`` or ``load_model`` returns is never written
+again, so it is safe for concurrent read-only inference. ``hidden_probs``
+and ``visible_recon`` take an ``RbmState`` and float32 rows, and neither
+cast nor check them.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,10 +70,8 @@ N_LABELS = 7
 # bytes of each array that one row block of the training step's elementwise passes covers
 _BLOCK_BYTES = 1 << 18
 
-_MODEL_MAGIC = b"DBN1"
-_MODEL_VERSION = 1
-_KIND_CODES = {GAUSSIAN: 0, BERNOULLI: 1}
-_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
+# the last byte is the format version; DBN1 held every array in float64
+_MODEL_MAGIC = b"DBN2"
 
 
 class ModelFormatError(ValueError):
@@ -132,78 +136,65 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Rbm:
-    """One energy-model layer: weights (n_visible, n_hidden) plus biases, all float64."""
+class Layer(NamedTuple):
+    """One sigmoid layer of a Dbn: float32 weights (inputs, units) and hidden bias."""
 
     weights: np.ndarray
-    visible_bias: np.ndarray
     hidden_bias: np.ndarray
-    visible_kind: str = BERNOULLI
-
-    def __post_init__(self) -> None:
-        w, vb, hb = (np.asarray(p, dtype=np.float64)
-                     for p in (self.weights, self.visible_bias, self.hidden_bias))
-        if w.ndim != 2 or vb.shape != (w.shape[0],) or hb.shape != (w.shape[1],):
-            raise ValueError("inconsistent RBM parameter shapes")
-        if not (np.isfinite(w).all() and np.isfinite(vb).all() and np.isfinite(hb).all()):
-            raise ValueError("RBM parameters must be finite")
-        if self.visible_kind not in _KIND_CODES:
-            raise ValueError(f"unknown visible_kind {self.visible_kind!r}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "visible_bias", vb)
-        object.__setattr__(self, "hidden_bias", hb)
-
-    @property
-    def n_visible(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_hidden(self) -> int:
-        return self.weights.shape[1]
 
 
 @dataclass
 class Dbn:
-    """Stacked RBMs plus a float64 softmax head and input standardization.
+    """Float32 sigmoid layers and softmax head, and the float64 input standardization.
 
-    ``input_mean``/``input_std`` hold the per-dimension z-score parameters
-    fitted on training features. The head and the standardization must be
-    finite and every ``input_std`` entry positive, so a model can never
-    score every input as NaN.
+    ``rbms`` lists the layers, input side first, as ``Layer``s; each was
+    pretrained as an RBM. ``input_mean``/``input_std`` hold the
+    per-dimension z-score parameters fitted on training features. Arrays
+    of another dtype are cast; float32 ones are taken over as they are, so
+    ``fine_tune`` trains the model's own arrays. The layers, the head and
+    the standardization must be finite and every ``input_std`` entry
+    positive, so a model can never score every input as NaN.
     """
 
-    rbms: list[Rbm]
+    rbms: list[Layer]
     softmax_weights: np.ndarray
     softmax_bias: np.ndarray
     input_mean: np.ndarray
     input_std: np.ndarray
 
     def __post_init__(self) -> None:
+        f32 = np.float32
         if not self.rbms:
-            raise ValueError("a Dbn needs at least one RBM")
-        for i, rbm in enumerate(self.rbms):
-            expected = GAUSSIAN if i == 0 else BERNOULLI
-            if rbm.visible_kind != expected:
-                raise ValueError(f"RBM {i} must have {expected} visible units")
-            if i and rbm.n_visible != self.rbms[i - 1].n_hidden:
-                raise ValueError("adjacent RBM layer sizes do not chain")
-        self.softmax_weights = np.asarray(self.softmax_weights, dtype=np.float64)
-        self.softmax_bias = np.asarray(self.softmax_bias, dtype=np.float64)
-        top = self.rbms[-1].n_hidden
+            raise ValueError("a Dbn needs at least one layer")
+        self.rbms = [Layer(np.asarray(w, dtype=f32), np.asarray(c, dtype=f32))
+                     for w, c in self.rbms]
+        for i, (w, c) in enumerate(self.rbms):
+            if w.ndim != 2 or c.shape != (w.shape[1],):
+                raise ValueError(f"layer {i} has inconsistent parameter shapes")
+            if i and w.shape[0] != self.rbms[i - 1].weights.shape[1]:
+                raise ValueError("adjacent layer sizes do not chain")
+            if not (np.isfinite(w).all() and np.isfinite(c).all()):
+                raise ValueError(f"layer {i} parameters must be finite")
+        self.softmax_weights = np.asarray(self.softmax_weights, dtype=f32)
+        self.softmax_bias = np.asarray(self.softmax_bias, dtype=f32)
+        top = self.rbms[-1].weights.shape[1]
         if self.softmax_weights.shape != (top, self.softmax_bias.shape[0]):
-            raise ValueError("softmax head does not match the top RBM layer")
+            raise ValueError("softmax head does not match the top layer")
         if not (np.isfinite(self.softmax_weights).all() and np.isfinite(self.softmax_bias).all()):
             raise ValueError("softmax head must be finite")
         for name in ("input_mean", "input_std"):
             val = np.asarray(getattr(self, name), dtype=np.float64)
-            if val.shape != (self.rbms[0].n_visible,):
+            if val.shape != (self.n_inputs,):
                 raise ValueError(f"{name} must have one entry per input dimension")
             if not np.isfinite(val).all():
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, val)
         if not (self.input_std > 0).all():
             raise ValueError("input_std must be positive")
+
+    @property
+    def n_inputs(self) -> int:
+        return self.rbms[0].weights.shape[0]
 
     @property
     def n_labels(self) -> int:
@@ -220,9 +211,9 @@ class RbmState:
     and grow to twice the largest batch seen. A float32 parameter array is
     taken over as it is, so the state trains it in place; any other is cast
     into a new one. ``train_rbm`` sets the momentum, gradient and stack
-    buffers to None once its epochs are done: only the parameters live on,
-    for the next layer's activations and for ``fine_tune``. ``freeze``
-    returns the current parameters as a new, validated float64 Rbm.
+    buffers to None once its epochs are done: only the parameters live on.
+    The next layer's activations are built from them, and the weights and
+    hidden bias become a ``Layer`` of the model ``pretrain_dbn`` returns.
     """
 
     def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
@@ -244,31 +235,6 @@ class RbmState:
     @property
     def n_hidden(self) -> int:
         return self.weights.shape[1]
-
-    def freeze(self) -> Rbm:
-        return Rbm(self.weights, self.visible_bias, self.hidden_bias,
-                   visible_kind=self.visible_kind)
-
-
-@dataclass
-class DbnState:
-    """A pretrained stack in training form: what pretrain_dbn returns and fine_tune trains.
-
-    ``rbms`` are the layers' RbmStates, their CD buffers released; the head
-    is float32 and the standardization float64, as a Dbn stores it.
-    ``fine_tune`` updates the layers' weights and hidden biases and the head
-    in place; ``freeze`` upcasts them into a new, validated Dbn.
-    """
-
-    rbms: list[RbmState]
-    softmax_weights: np.ndarray
-    softmax_bias: np.ndarray
-    input_mean: np.ndarray
-    input_std: np.ndarray
-
-    def freeze(self) -> Dbn:
-        return Dbn([r.freeze() for r in self.rbms], self.softmax_weights, self.softmax_bias,
-                   input_mean=self.input_mean, input_std=self.input_std)
 
 
 def _row_blocks(*arrays: np.ndarray):
@@ -431,10 +397,10 @@ def fit_standardization(train_features):
     return mean, std
 
 
-def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> DbnState:
+def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     """Greedy layerwise pretraining on raw feature vectors.
 
-    Fits the z-score on ``data``, stores it in the returned DbnState and
+    Fits the z-score on ``data``, stores it in the returned Dbn and
     pretrains on the standardized rows. ``hidden_sizes`` lists each hidden
     width, e.g. the paper's (1000, 1000, 2000); the input width is that of
     ``data``. Each RBM is trained on the deterministic hidden probabilities
@@ -445,8 +411,9 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> DbnState:
     ``train_rbm`` returns that state with only its parameters left, which
     give the next layer its activations. While a layer trains, its input
     activations, its state and the parameters below it are alive. The head
-    is drawn in float64 and cast, as the weights are. ``fine_tune``
-    continues these arrays and freezes them into the float64 Dbn.
+    is drawn in float64 and cast, as the weights are. The returned model
+    holds each state's weights and hidden bias, and ``fine_tune`` trains
+    these arrays in place.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -466,7 +433,8 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> DbnState:
             activations = hidden_probs(states[-1], activations)
 
     head = (0.01 * rng.standard_normal((sizes[-1], N_LABELS))).astype(np.float32)
-    return DbnState(states, head, np.zeros(N_LABELS, dtype=np.float32), mean, std)
+    return Dbn([Layer(s.weights, s.hidden_bias) for s in states], head,
+               np.zeros(N_LABELS, dtype=np.float32), mean, std)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -490,23 +458,27 @@ def _forward_activations(layers, head, z: np.ndarray):
 
 
 def forward(dbn: Dbn, x) -> np.ndarray:
-    """Class probabilities for raw (unstandardized) input rows, or for one 1-D row.
+    """Float64 class probabilities for raw (unstandardized) input rows, or for one 1-D row.
 
-    A deterministic float64 mean-field pass: z-score, sigmoid layers,
-    softmax head with max-subtraction. Output rows sum to 1. Each layer's
-    activations are dropped once the next layer's are built, so at most two
-    are alive at a time; the arithmetic is that of ``_forward_activations``
-    on the z-scored rows, to the bit.
+    A deterministic mean-field pass. The rows are z-scored in float64 and
+    cast to float32 once; the sigmoid layers and the head run in float32,
+    and the softmax of the logits, with max-subtraction, in float64, so each
+    row sums to 1 to float64 rounding. Each layer's activations are dropped
+    once the next layer's are built, so at most two are alive at a time;
+    the logits are those of ``_forward_activations`` on the cast rows, to
+    the bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dbn.rbms[0].n_visible:
-        raise ValueError(f"input rows have {x.shape[-1]} entries, want {dbn.rbms[0].n_visible}")
-    act = (x - dbn.input_mean) / dbn.input_std
-    for rbm in dbn.rbms:
-        act = act @ rbm.weights
-        act += rbm.hidden_bias
+    if x.shape[-1] != dbn.n_inputs:
+        raise ValueError(f"input rows have {x.shape[-1]} entries, want {dbn.n_inputs}")
+    act = ((x - dbn.input_mean) / dbn.input_std).astype(np.float32)
+    for w, c in dbn.rbms:
+        act = act @ w
+        act += c
         _sigmoid_inplace(act)
-    return np.exp(_log_softmax(act @ dbn.softmax_weights + dbn.softmax_bias))
+    logits = act @ dbn.softmax_weights
+    logits += dbn.softmax_bias
+    return np.exp(_log_softmax(logits.astype(np.float64)))
 
 
 def _loss_and_grads(layers, head, z: np.ndarray, labels: np.ndarray, step: float, d_weights):
@@ -545,14 +517,14 @@ def _loss_and_grads(layers, head, z: np.ndarray, labels: np.ndarray, step: float
     return loss, d_layers, d_head
 
 
-def fine_tune(state: DbnState, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
-    """Supervised fine-tuning of a pretrained stack: momentum SGD on mean cross-entropy.
+def fine_tune(model: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
+    """Supervised fine-tuning of a pretrained model: momentum SGD on mean cross-entropy.
 
     ``data`` holds raw feature vectors; ``labels`` are integer class
     indices; ``seed`` fixes the minibatch order. The rows are cast to
     float32 and z-scored once, before the first epoch, as (x - mean) / std
-    with the state's standardization cast to float32; ``data`` itself is
-    not written. The loop continues ``state``'s float32 arrays in place:
+    with the model's standardization cast to float32; ``data`` itself is
+    not written. The loop trains ``model``'s float32 arrays in place:
     each layer's weights and hidden bias and the head. Next to them it
     allocates one velocity per parameter and one gradient buffer per
     weight matrix, so at most three float32 copies of each weight matrix
@@ -560,13 +532,12 @@ def fine_tune(state: DbnState, data, labels, cfg: TrainConfig, seed: int) -> Dbn
     the learning rate, so each step makes three passes over every
     parameter (velocity *= momentum, velocity -= gradient, parameter +=
     velocity), block by block over rows (``_row_blocks``), and allocates
-    no weight-sized array. The velocities and gradients are released, then
-    ``state`` is frozen: the returned Dbn holds the trained arrays upcast
-    to float64, the visible biases and the standardization.
+    no weight-sized array. The velocities and gradients are released, and
+    the model is returned once its parameters are checked to be finite.
     """
     x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
-    n_labels = state.softmax_bias.shape[0]
+    n_labels = model.n_labels
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("fine-tuning data must be a nonempty 2-D array")
     if y.shape != (x.shape[0],):
@@ -575,9 +546,9 @@ def fine_tune(state: DbnState, data, labels, cfg: TrainConfig, seed: int) -> Dbn
         raise ValueError(f"labels must lie in [0, {n_labels - 1}]")
 
     f32 = np.float32
-    layers = [(r.weights, r.hidden_bias) for r in state.rbms]
-    head = (state.softmax_weights, state.softmax_bias)
-    x = (x - state.input_mean.astype(f32)) / state.input_std.astype(f32)
+    layers = model.rbms
+    head = (model.softmax_weights, model.softmax_bias)
+    x = (x - model.input_mean.astype(f32)) / model.input_std.astype(f32)
     # the head first, then each layer's (W, c), as the gradients are listed below
     params = [*head, *(p for layer in layers for p in layer)]
     velocities = [np.zeros_like(p) for p in params]
@@ -594,31 +565,30 @@ def fine_tune(state: DbnState, data, labels, cfg: TrainConfig, seed: int) -> Dbn
                     velocity *= cfg.momentum
                     velocity -= grad
                     param += velocity
-    # release the velocities and gradient buffers before the float64 copy is
-    # built below: with them alive, that copy would be the training stage's peak
+    # release the velocities and gradient buffers before the check below, so
+    # its temporaries are not built next to them
     velocities = d_weights = d_layers = d_head = grads = None
-    # freezing upcasts and checks that training left the weights and the head finite
-    return state.freeze()
-
-
-def _pack_f64(arr: np.ndarray) -> np.ndarray:
-    # a float64 model array is written from its own buffer: no copy of the
-    # 24 MB a paper-width model takes
-    return np.ascontiguousarray(arr, dtype="<f8")
+    # a new Dbn of the same arrays: its validation checks training left them finite
+    return replace(model)
 
 
 def save_model(dbn: Dbn, path) -> None:
-    """Serialize a Dbn; load_model reproduces every parameter bit-exactly."""
-    parts = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION, len(dbn.rbms))]
-    for rbm in dbn.rbms:
-        parts.append(struct.pack("<QQB", rbm.n_visible, rbm.n_hidden, _KIND_CODES[rbm.visible_kind]))
-        parts.append(_pack_f64(rbm.weights))
-        parts.append(_pack_f64(rbm.visible_bias))
-        parts.append(_pack_f64(rbm.hidden_bias))
-    parts.append(_pack_f64(dbn.softmax_weights))
-    parts.append(_pack_f64(dbn.softmax_bias))
-    parts.append(_pack_f64(dbn.input_mean))
-    parts.append(_pack_f64(dbn.input_std))
+    """Write a Dbn as a DBN2 file; load_model reproduces every parameter bit-exactly.
+
+    Little-endian: the magic, the layer and label counts (``<II``), then
+    each layer's input and unit counts (``<QQ``), float32 weights and
+    hidden bias, then the float32 head weights and bias and the float64
+    input mean and std. Each array is written from its own buffer: no copy
+    of the 12 MB a paper-width model takes.
+    """
+    parts = [_MODEL_MAGIC, struct.pack("<II", len(dbn.rbms), dbn.n_labels)]
+    for w, c in dbn.rbms:
+        parts += [struct.pack("<QQ", *w.shape), np.ascontiguousarray(w, dtype="<f4"),
+                  np.ascontiguousarray(c, dtype="<f4")]
+    parts += [np.ascontiguousarray(dbn.softmax_weights, dtype="<f4"),
+              np.ascontiguousarray(dbn.softmax_bias, dtype="<f4"),
+              np.ascontiguousarray(dbn.input_mean, dtype="<f8"),
+              np.ascontiguousarray(dbn.input_std, dtype="<f8")]
     with atomic_open(path, "wb") as fh:
         fh.writelines(parts)
 
@@ -629,51 +599,46 @@ def load_model(path) -> Dbn:
     Each array is read from the file straight into its own buffer, so the
     model is held once, not also as the file's bytes. Every length the file
     declares is checked against the file's size before its array is
-    allocated: a truncated or corrupt file raises ModelFormatError.
+    allocated: a truncated or corrupt file raises ModelFormatError. So does
+    a file of another format version, such as the float64 DBN1 files of
+    earlier versions; the train stage writes a new one.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(12)
         if header[:4] != _MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: bad model magic")
+            if header[:3] != _MODEL_MAGIC[:3]:
+                raise ModelFormatError(f"{path}: bad model magic")
+            raise ModelFormatError(
+                f"{path}: unsupported model version {header[3:4].decode(errors='replace')!r}, "
+                f"this version reads {_MODEL_MAGIC.decode()} files; run the train stage again")
         if len(header) < 12:
             raise ModelFormatError(f"{path}: truncated model header")
-        version, n_layers = struct.unpack_from("<II", header, 4)
-        if version != _MODEL_VERSION:
-            raise ModelFormatError(f"{path}: unsupported model version {version}")
+        n_layers, n_labels = struct.unpack_from("<II", header, 4)
+        if not (n_layers and n_labels):
+            raise ModelFormatError(f"{path}: model has no layers or no labels")
 
-        def read_f64(count: int) -> np.ndarray:
-            if count * 8 > size - fh.tell():
+        def read(count: int, dtype: str) -> np.ndarray:
+            out_type = np.dtype(dtype)
+            if count * out_type.itemsize > size - fh.tell():
                 raise ModelFormatError(f"{path}: truncated model file")
-            out = np.empty(count, dtype="<f8")
+            out = np.empty(count, dtype=out_type)
             if fh.readinto(out) != out.nbytes:  # the file shrank while being read
                 raise ModelFormatError(f"{path}: truncated model file")
             return out
 
-        rbms: list[Rbm] = []
+        layers = []
         for _ in range(n_layers):
-            layer_header = fh.read(17)
-            if len(layer_header) < 17:
+            layer_header = fh.read(16)
+            if len(layer_header) < 16:
                 raise ModelFormatError(f"{path}: truncated model file")
-            rows, cols, kind_code = struct.unpack("<QQB", layer_header)
-            if kind_code not in _KIND_NAMES:
-                raise ModelFormatError(f"{path}: unknown visible kind code {kind_code}")
-            weights = read_f64(rows * cols).reshape(rows, cols)
-            rbms.append(
-                Rbm(weights, read_f64(rows), read_f64(cols), visible_kind=_KIND_NAMES[kind_code])
-            )
-        if not rbms:
-            raise ModelFormatError(f"{path}: model has no layers")
-
-        # the head width is implied: remaining = 8*(top*k + k + 2*n_input)
-        top, n_input = rbms[-1].n_hidden, rbms[0].n_visible
-        remaining = size - fh.tell()
-        if (remaining % 8 or (remaining // 8 - 2 * n_input) % (top + 1)
-                or remaining // 8 <= 2 * n_input):
-            raise ModelFormatError(f"{path}: truncated model file")
-        n_labels = (remaining // 8 - 2 * n_input) // (top + 1)
-        softmax_weights = read_f64(top * n_labels).reshape(top, n_labels)
-        softmax_bias = read_f64(n_labels)
-        mean = read_f64(n_input)
-        std = read_f64(n_input)
-    return Dbn(rbms, softmax_weights, softmax_bias, input_mean=mean, input_std=std)
+            rows, cols = struct.unpack("<QQ", layer_header)
+            layers.append(Layer(read(rows * cols, "<f4").reshape(rows, cols), read(cols, "<f4")))
+        top, n_input = layers[-1].weights.shape[1], layers[0].weights.shape[0]
+        softmax_weights = read(top * n_labels, "<f4").reshape(top, n_labels)
+        softmax_bias = read(n_labels, "<f4")
+        mean = read(n_input, "<f8")
+        std = read(n_input, "<f8")
+        if fh.tell() != size:
+            raise ModelFormatError(f"{path}: {size - fh.tell()} bytes after the model")
+    return Dbn(layers, softmax_weights, softmax_bias, input_mean=mean, input_std=std)

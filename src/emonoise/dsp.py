@@ -14,8 +14,10 @@ of clean + g*w are S_clean + g*S_w, and a caller that has the spectra of a
 signal and of one of its mixtures can derive the mel energies of every
 rescaled mixture without another FFT.
 
-Everything is a pure function; extracting features for distinct utterances
-can run in parallel without coordination.
+Everything is a pure function, and the cached filterbank and DCT matrices
+are read-only, so distinct utterances can be featurized on parallel
+threads without coordination. ``pipeline.evaluate`` featurizes its test
+split that way.
 """
 
 from __future__ import annotations

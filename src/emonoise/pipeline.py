@@ -2,12 +2,14 @@
 
 The reference protocol trains on clean speech only, evaluates the clean
 baseline plus every configured noise category x SNR on the test split, and
-reports the clean-vs-noisy accuracy difference per condition. Evaluation is
-one pass over the test split: each utterance is loaded and transformed once,
-under every condition, before the next is read, and the segment vectors of
-consecutive utterances are classified together in row blocks of about
-``_SCORE_BLOCK_ROWS``. Utterance labels come from majority vote over segment
-predictions; segment-level accuracy is reported alongside.
+reports the clean-vs-noisy accuracy difference per condition. Evaluation
+runs in two phases. It first featurizes the test split: each utterance is
+loaded and transformed once, under every condition, on as many threads as
+OpenBLAS has, with OpenBLAS pinned to one thread meanwhile (``evaluate``
+says why). It then classifies the segment vectors of consecutive
+utterances together in row blocks of about ``_SCORE_BLOCK_ROWS``, with
+OpenBLAS's threads back. Utterance labels come from majority vote over
+segment predictions; segment-level accuracy is reported alongside.
 
 The stages hand over files in the work directory, which only prepare
 creates: manifest.csv, model.dbn with its model.key and report.csv, each
@@ -26,10 +28,15 @@ which fits, stores and applies the input standardization itself.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import hashlib
+import itertools
 import json
 import math
+import threading
 import zlib
 from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
@@ -297,41 +304,147 @@ def _condition_segments(config: RunConfig, clip: AudioClip, name: str, noises,
     return segments.reshape(len(segments), n_conditions, -1).transpose(1, 0, 2)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None where none is found.
+
+    Looks for a mapped library whose path names OpenBLAS, and in it for
+    numpy's prefixed 64-bit-integer symbols or the plain ones.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and "/" in line})
+    except OSError:  # no /proc: not Linux
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_pinned():
+    """OpenBLAS pinned to one thread for the block; yields how many it had, 1 if none is found.
+
+    The count is restored when the block exits, also on an error.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield 1
+        return
+    get, put = blas
+    n_threads = get()
+    put(1)
+    try:
+        yield n_threads
+    finally:
+        put(n_threads)
+
+
+def _featurize(config: RunConfig, entries, noises, snrs_db) -> list[np.ndarray]:
+    """``_condition_segments`` of every entry, in entry order, on as many threads as OpenBLAS has.
+
+    The calling thread works alongside the others; with one thread it works
+    alone and none is started. Each thread claims the next unclaimed entry
+    until none is left, or until an entry has failed or the calling thread
+    has been interrupted. A thread checks for that stop before it claims,
+    never after, so a claimed entry is always finished. Entries are claimed
+    in order, so every entry before a failed one has been featurized or has
+    failed too. The first failure in entry order is re-raised here, once
+    every thread has stopped.
+    """
+    results = [None] * len(entries)
+    claims = itertools.count()
+    stop = threading.Event()
+
+    def work():
+        while not stop.is_set():
+            k = next(claims)
+            if k >= len(entries):
+                return
+            try:
+                clip = _load_utterance(config, entries[k].path)
+                results[k] = _condition_segments(config, clip, Path(entries[k].path).name,
+                                                 noises, snrs_db)
+            except Exception as exc:  # raised in the calling thread below
+                results[k] = exc
+                stop.set()
+
+    with _blas_pinned() as n_threads:
+        workers = [threading.Thread(target=work)
+                   for _ in range(min(n_threads, len(entries)) - 1)]
+        for worker in workers:
+            worker.start()
+        try:
+            work()
+        except BaseException:
+            stop.set()  # interrupted: the workers take no further entry
+            raise
+        finally:
+            for worker in workers:
+                worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
-    """Score a test split under clean and every noise condition, in one pass.
+    """Score a test split under clean and every noise condition, in two phases.
 
     ``noises`` maps each category to its clip at the pipeline rate. Reports
     come clean first, then each category in ``noises`` order at every SNR in
     ascending order; each delta is taken against the clean accuracy.
 
-    Each utterance is loaded once and framed and transformed once (spectra
-    S_clean). ``mix_at_snr`` then mixes each category in at the lowest SNR
-    s0 only, and that mixture is transformed too: D = S_mix - S_clean is the
-    spectrum of the gain-scaled noise window, because pre-emphasis, the
-    window and the DFT are linear. The gain at SNR s is r = 10^((s0 - s)/20)
-    times the gain at s0, so that mixture's spectra are S_clean + r*D and its
-    mel energies E_clean + 2r*E_cross + r^2*E_diff (``dsp.mel_energies``):
-    exact up to float rounding, with no further FFT. Because s0 is the
-    lowest SNR, r <= 1, so the rounding error D carries is scaled down,
-    never up; the features agree with per-SNR time-domain mixtures to about
-    1e-13. The segment vectors of every condition of consecutive utterances
-    are gathered until about ``_SCORE_BLOCK_ROWS`` rows are pending and then
-    classified by one ``forward`` call; each utterance's segment hits and
-    majority votes are tallied from its own rows of the block.
+    Phase 1 featurizes (``_featurize``). Each utterance is loaded once and
+    framed and transformed once (spectra S_clean). ``mix_at_snr`` then
+    mixes each category in at the lowest SNR s0 only, and that mixture is
+    transformed too: D = S_mix - S_clean is the spectrum of the gain-scaled
+    noise window, because pre-emphasis, the window and the DFT are linear.
+    The gain at SNR s is r = 10^((s0 - s)/20) times the gain at s0, so that
+    mixture's spectra are S_clean + r*D and its mel energies E_clean +
+    2r*E_cross + r^2*E_diff (``dsp.mel_energies``): exact up to float
+    rounding, with no further FFT. Because s0 is the lowest SNR, r <= 1, so
+    the rounding error D carries is scaled down, never up; the features
+    agree with per-SNR time-domain mixtures to about 1e-13.
+
+    The utterances are featurized on as many threads as OpenBLAS has, and
+    OpenBLAS is pinned to one thread while they run. Its worker threads
+    spin for a while after each call, waiting for the next; left at two
+    threads on two cores, that worker and the two featurizing threads
+    would share two cores, and each of the front end's small mel and DCT
+    products would wait for a time slice. Pinned, every product runs in the
+    thread that calls it.
+
+    Phase 2 classifies, with OpenBLAS's threads restored. The segment
+    vectors of every condition of consecutive utterances are gathered until
+    about ``_SCORE_BLOCK_ROWS`` rows are pending and then classified by one
+    ``forward`` call; each utterance's segment hits and majority votes are
+    tallied from its own rows of the block. The reports do not depend on
+    the number of threads.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate an empty test split")
     snrs_db = sorted(config.snrs_db)
     conditions = [(CLEAN_CONDITION, None)] + [(c, snr) for c in noises for snr in snrs_db]
+    features = _featurize(config, entries, noises, snrs_db)
     confusions = np.zeros((len(conditions), N_LABELS, N_LABELS), dtype=np.int64)
     seg_hits = np.zeros(len(conditions), dtype=np.int64)
     seg_total = 0  # the same for every condition
     pending = []  # (label, condition-major segment rows) of utterances not yet classified
     pending_rows = 0
-    for k, entry in enumerate(entries):
-        clip = _load_utterance(config, entry.path)
-        segments = _condition_segments(config, clip, Path(entry.path).name, noises, snrs_db)
+    for k, (entry, segments) in enumerate(zip(entries, features)):
         pending.append((int(entry.label), segments.reshape(-1, segments.shape[-1])))
         pending_rows += len(pending[-1][1])
         if pending_rows < _SCORE_BLOCK_ROWS and k + 1 < len(entries):
@@ -584,8 +697,6 @@ def train_model(config: RunConfig, progress=None) -> Path:
     log(f"pretraining layers {[features.shape[1], *config.hidden_sizes]}")
     model = pretrain_dbn(features, config.hidden_sizes, config.train, config.seed)
     log(f"fine-tuning for {config.train.epochs_finetune} epochs")
-    # fine-tuning continues the pretrained float32 arrays; rebinding drops
-    # them once their float64 model exists
     model = fine_tune(model, features, labels, config.train, config.seed)
     path = model_path(config)
     # the old key goes first, so no failure in between leaves a key that

@@ -300,6 +300,17 @@ def reference_fine_tune(layers, head, mean, std, x, labels, cfg, seed):
     return layers, head
 
 
+def reference_forward(model, x):
+    """Class probabilities in float64 throughout: the model's float32 parameters
+    upcast, reference_sigmoid layers and a plain softmax."""
+    act = (np.asarray(x, dtype=np.float64) - model.input_mean) / model.input_std
+    for w, c in model.rbms:
+        act = reference_sigmoid(act @ w.astype(np.float64) + c.astype(np.float64))
+    logits = act @ model.softmax_weights.astype(np.float64) + model.softmax_bias
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def reference_condition_segments(config, clip, name, noises):
     """Segment vectors of one utterance under every condition, one array each.
 

@@ -1,7 +1,10 @@
+import copy
 import inspect
 import math
 import os
+import struct
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,9 +26,8 @@ from emonoise.dbn import (
     BERNOULLI,
     GAUSSIAN,
     Dbn,
-    DbnState,
+    Layer,
     ModelFormatError,
-    Rbm,
     RbmState,
     TrainConfig,
     _forward_activations,
@@ -44,9 +46,18 @@ from emonoise.dbn import (
 )
 
 
+class RbmParams(NamedTuple):
+    """An RBM's float64 parameters, which the tests build float32 training states from."""
+
+    weights: np.ndarray
+    visible_bias: np.ndarray
+    hidden_bias: np.ndarray
+    visible_kind: str = BERNOULLI
+
+
 def random_rbm(n_vis, n_hid, kind=BERNOULLI, seed=0, scale=0.5):
     rng = np.random.default_rng(seed)
-    return Rbm(
+    return RbmParams(
         weights=scale * rng.standard_normal((n_vis, n_hid)),
         visible_bias=scale * rng.standard_normal(n_vis),
         hidden_bias=scale * rng.standard_normal(n_hid),
@@ -55,7 +66,7 @@ def random_rbm(n_vis, n_hid, kind=BERNOULLI, seed=0, scale=0.5):
 
 
 def zero_rbm(n_vis, n_hid, kind=BERNOULLI):
-    return Rbm(np.zeros((n_vis, n_hid)), np.zeros(n_vis), np.zeros(n_hid), visible_kind=kind)
+    return RbmParams(np.zeros((n_vis, n_hid)), np.zeros(n_vis), np.zeros(n_hid), visible_kind=kind)
 
 
 def f32_ones(n):
@@ -63,15 +74,13 @@ def f32_ones(n):
 
 
 def state_of(rbm):
-    """A float32 training copy of ``rbm``; the Rbm's float64 arrays are cast, never shared."""
+    """A float32 training copy of ``rbm``; its float64 arrays are cast, never shared."""
     return RbmState(rbm.weights, rbm.visible_bias, rbm.hidden_bias, rbm.visible_kind)
 
 
 def training_copy(dbn):
-    """The DbnState fine_tune takes, as float32 copies of a hand-built Dbn's arrays."""
-    f32 = np.float32
-    return DbnState([state_of(r) for r in dbn.rbms], dbn.softmax_weights.astype(f32),
-                    dbn.softmax_bias.astype(f32), dbn.input_mean, dbn.input_std)
+    """A copy of ``dbn`` for fine_tune to train in place, leaving ``dbn`` as it was."""
+    return copy.deepcopy(dbn)
 
 
 class TestHiddenProbs:
@@ -80,7 +89,7 @@ class TestHiddenProbs:
                                       np.full(4, 0.5))
 
     def test_one_by_one(self):
-        state = state_of(Rbm(np.array([[1.0]]), np.zeros(1), np.zeros(1)))
+        state = state_of(RbmParams(np.array([[1.0]]), np.zeros(1), np.zeros(1)))
         got = hidden_probs(state, f32_ones(1))
         assert got.dtype == np.float32
         assert got[0] == reference_sigmoid(np.float32(1.0))
@@ -99,8 +108,9 @@ class TestHiddenProbs:
         out = hidden_probs(state_of(zero_rbm(3, 4)), np.zeros((5, 3), dtype=np.float32))
         assert out.shape == (5, 4)
 
-    # float64 is the dtype of forward, float32 that of training. exp(-745) is
-    # subnormal and exp(-746) is 0 in float64; exp(-88.7) and exp(-104) in float32
+    # the sigmoid runs in its input's dtype; training and forward pass float32.
+    # exp(-745) is subnormal and exp(-746) is 0 in float64; exp(-88.7) and
+    # exp(-104) in float32
     @pytest.mark.parametrize("dtype, magnitudes, seed", [
         (np.float64, [0.0, 5e-324, 709.78, 710.0, 745.0, 746.0, 1e308, np.inf], 0),
         (np.float32, [0.0, np.finfo(np.float32).smallest_subnormal,
@@ -150,7 +160,7 @@ class TestVisibleRecon:
         )
 
     def test_gaussian_linear_map(self):
-        rbm = Rbm(np.array([[1.0], [2.0]]), np.zeros(2), np.zeros(1), visible_kind=GAUSSIAN)
+        rbm = RbmParams(np.array([[1.0], [2.0]]), np.zeros(2), np.zeros(1), visible_kind=GAUSSIAN)
         got = visible_recon(state_of(rbm), f32_ones(1))
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, [1.0, 2.0])
@@ -186,7 +196,7 @@ class TestCdUpdate:
                           weight_decay=0.0)
         state = state_of(rbm)
         cd_update(state, binary_states(4)[:5], cfg, np.random.default_rng(0))
-        assert_params_equal(state.freeze(), [rounded(p) for p in rbm_params(rbm)])
+        assert_params_equal(state, as_f32(rbm_params(rbm)))
         assert not state.velocity_weights.any() and not state.velocity_hidden_bias.any()
 
     def test_repeated_call_is_bit_identical(self):
@@ -197,7 +207,7 @@ class TestCdUpdate:
         ea = cd_update(a, batch, cfg, np.random.default_rng(7))
         eb = cd_update(b, batch, cfg, np.random.default_rng(7))
         assert ea == eb
-        assert_params_equal(a.freeze(), rbm_params(b))
+        assert_params_equal(a, rbm_params(b))
 
     def test_reconstruction_error_decreases_on_repeated_pattern(self):
         rbm = random_rbm(3, 2, seed=11, scale=0.1)
@@ -324,25 +334,20 @@ class TestTrainRbm:
 
     def test_signatures_the_tracer_reads(self):
         assert list(inspect.signature(train_rbm).parameters) == ["state", "data", "cfg", "rng"]
-        assert list(inspect.signature(fine_tune).parameters) == ["state", "data", "labels", "cfg",
+        assert list(inspect.signature(fine_tune).parameters) == ["model", "data", "labels", "cfg",
                                                                  "seed"]
 
 
 def small_dbn(seed=5, n_in=4, hidden=(3, 3, 3), n_labels=7, scale=0.6):
     rng = np.random.default_rng(seed)
     sizes = [n_in, *hidden]
-    rbms = []
-    for i, (nv, nh) in enumerate(zip(sizes[:-1], sizes[1:])):
-        rbms.append(
-            Rbm(
-                weights=scale * rng.standard_normal((nv, nh)),
-                visible_bias=scale * rng.standard_normal(nv),
-                hidden_bias=scale * rng.standard_normal(nh),
-                visible_kind=GAUSSIAN if i == 0 else BERNOULLI,
-            )
-        )
+    layers = []
+    for nv, nh in zip(sizes[:-1], sizes[1:]):
+        weights = scale * rng.standard_normal((nv, nh))
+        rng.standard_normal(nv)  # a visible bias, which the model does not keep
+        layers.append(Layer(weights, scale * rng.standard_normal(nh)))
     return Dbn(
-        rbms=rbms,
+        rbms=layers,
         softmax_weights=scale * rng.standard_normal((sizes[-1], n_labels)),
         softmax_bias=scale * rng.standard_normal(n_labels),
         input_mean=0.1 * rng.standard_normal(n_in),
@@ -355,9 +360,8 @@ class TestPretrain:
         data = np.random.default_rng(0).standard_normal((20, 13))
         cfg = TrainConfig(epochs_pretrain=0)
         model = pretrain_dbn(data, [1000, 1000, 2000], cfg, seed=1)
-        shapes = [(r.n_visible, r.n_hidden) for r in model.rbms]
+        shapes = [r.weights.shape for r in model.rbms]
         assert shapes == [(13, 1000), (1000, 1000), (1000, 2000)]
-        assert [r.visible_kind for r in model.rbms] == [GAUSSIAN, BERNOULLI, BERNOULLI]
         assert model.softmax_weights.shape == (2000, 7)
 
     def test_zero_epochs_retains_seeded_initialization(self):
@@ -372,7 +376,7 @@ class TestPretrain:
             np.testing.assert_array_equal(
                 rbm.weights, rounded(0.01 * replay.standard_normal((nv, nh)))
             )
-            assert not rbm.visible_bias.any() and not rbm.hidden_bias.any()
+            assert not rbm.hidden_bias.any()
         np.testing.assert_array_equal(
             model.softmax_weights, rounded(0.01 * replay.standard_normal((700, 7)))
         )
@@ -387,7 +391,6 @@ class TestPretrain:
         b = pretrain_dbn(data, [6, 6, 8], cfg, seed=12)
         for ra, rb in zip(a.rbms, b.rbms):
             np.testing.assert_array_equal(ra.weights, rb.weights)
-            np.testing.assert_array_equal(ra.visible_bias, rb.visible_bias)
             np.testing.assert_array_equal(ra.hidden_bias, rb.hidden_bias)
         np.testing.assert_array_equal(a.softmax_weights, b.softmax_weights)
 
@@ -397,8 +400,10 @@ class TestPretrain:
                           learning_rate_pretrain_gaussian=0.05)
         model = pretrain_dbn(data, [6, 4, 8], cfg, seed=8)
         layers, head = reference_pretrain_dbn(data, [6, 4, 8], cfg, seed=8)
-        for rbm, params in zip(model.rbms, layers, strict=True):
-            assert_params_equal(rbm, params)
+        # the model keeps each layer's weights and hidden bias; CD alone reads the visible bias
+        for layer, (w, _, c) in zip(model.rbms, layers, strict=True):
+            np.testing.assert_array_equal(layer.weights, w)
+            np.testing.assert_array_equal(layer.hidden_bias, c)
         np.testing.assert_array_equal(model.softmax_weights, rounded(head))
         assert not model.softmax_bias.any()
         mean, std = fit_standardization(data)
@@ -442,8 +447,9 @@ class TestForward:
         model = small_dbn(seed=9)
         x = np.random.default_rng(2).standard_normal(4)
         base = forward(model, x)
-        model.softmax_bias = model.softmax_bias + 37.5
-        np.testing.assert_allclose(forward(model, x), base, atol=1e-12)
+        model.softmax_bias = model.softmax_bias + np.float32(37.5)
+        # the shifted float32 bias is rounded to float32's spacing at 37.5, 4e-6
+        np.testing.assert_allclose(forward(model, x), base, rtol=0, atol=1e-5)
 
     def test_unset_standardization_rejected(self):
         model = small_dbn()
@@ -458,24 +464,28 @@ class TestForward:
     def test_matches_training_forward_pass(self):
         model = small_dbn(seed=10, n_in=13, hidden=(40, 30, 50))
         x = np.random.default_rng(4).standard_normal((60, 13))
-        _, logits = _forward_activations([(r.weights, r.hidden_bias) for r in model.rbms],
-                                         (model.softmax_weights, model.softmax_bias),
-                                         (x - model.input_mean) / model.input_std)
-        np.testing.assert_array_equal(forward(model, x), np.exp(_log_softmax(logits)))
+        z = ((x - model.input_mean) / model.input_std).astype(np.float32)
+        _, logits = _forward_activations(model.rbms, (model.softmax_weights, model.softmax_bias),
+                                         z)
+        assert logits.dtype == np.float32
+        np.testing.assert_array_equal(forward(model, x),
+                                      np.exp(_log_softmax(logits.astype(np.float64))))
 
     def test_one_row_matches_row_zero_of_a_batch(self):
         model = small_dbn(seed=12, n_in=13, hidden=(40, 30, 50))
         x = np.random.default_rng(6).standard_normal((60, 13))
         probs = forward(model, x[0])
         assert probs.shape == (7,)
-        np.testing.assert_allclose(probs, forward(model, x)[0], rtol=0, atol=1e-15)
+        # one row runs as a float32 matrix-vector product, which may sum in
+        # another order than the batch's GEMM: the rows differ by about 1e-8
+        np.testing.assert_allclose(probs, forward(model, x)[0], rtol=0, atol=1e-6)
 
     def test_holds_two_activations_at_a_time(self):
         # a pass that kept all four hidden layers alive, as backpropagation
-        # needs, would peak near five of these blocks with the sigmoid scratch
+        # needs, would peak near five of these float32 blocks with the sigmoid scratch
         model = small_dbn(seed=11, n_in=13, hidden=(200, 200, 200, 200))
         x = np.random.default_rng(5).standard_normal((400, 13))
-        block = x.shape[0] * 200 * 8
+        block = x.shape[0] * 200 * 4
         tracemalloc.start()
         try:
             forward(model, x)
@@ -492,32 +502,34 @@ class TestFineTune:
         y = np.arange(10) % 7
         tuned = fine_tune(training_copy(model), x, y, TrainConfig(epochs_finetune=0), seed=0)
         for before, after in zip(model.rbms, tuned.rbms):
-            np.testing.assert_array_equal(rounded(before.weights), after.weights)
-        np.testing.assert_array_equal(rounded(model.softmax_weights), tuned.softmax_weights)
-        np.testing.assert_array_equal(rounded(model.softmax_bias), tuned.softmax_bias)
+            np.testing.assert_array_equal(before.weights, after.weights)
+        np.testing.assert_array_equal(model.softmax_weights, tuned.softmax_weights)
+        np.testing.assert_array_equal(model.softmax_bias, tuned.softmax_bias)
 
     def test_gradients_match_finite_differences(self):
+        # in float64, where central differences at 1e-5 are accurate; the
+        # gradients compute in the dtype of the parameters they are given
         model = small_dbn(seed=15)
         rng = np.random.default_rng(16)
         x = rng.standard_normal((12, 4))
         y = rng.integers(0, 7, size=12)
+        layers = [(w.astype(np.float64), c.astype(np.float64)) for w, c in model.rbms]
+        head = (model.softmax_weights.astype(np.float64), model.softmax_bias.astype(np.float64))
+        z = (x - model.input_mean) / model.input_std
 
         def loss():
-            probs = forward(model, x)
-            return -float(np.mean(np.log(probs[np.arange(12), y])))
+            _, logits = _forward_activations(layers, head, z)
+            return -float(np.mean(_log_softmax(logits)[np.arange(12), y]))
 
-        weights = [r.weights for r in model.rbms] + [model.softmax_weights]
-        _, d_layers, d_head = _loss_and_grads(
-            [(r.weights, r.hidden_bias) for r in model.rbms],
-            (model.softmax_weights, model.softmax_bias), (x - model.input_mean) / model.input_std,
-            y, 1.0, [np.empty_like(w) for w in weights],
-        )
+        weights = [w for w, _ in layers] + [head[0]]
+        _, d_layers, d_head = _loss_and_grads(layers, head, z, y, 1.0,
+                                              [np.empty_like(w) for w in weights])
         checks = []
-        for i, rbm in enumerate(model.rbms):
-            checks.append((rbm.weights, d_layers[i][0]))
-            checks.append((rbm.hidden_bias, d_layers[i][1]))
-        checks.append((model.softmax_weights, d_head[0]))
-        checks.append((model.softmax_bias, d_head[1]))
+        for i, (w, c) in enumerate(layers):
+            checks.append((w, d_layers[i][0]))
+            checks.append((c, d_layers[i][1]))
+        checks.append((head[0], d_head[0]))
+        checks.append((head[1], d_head[1]))
         for array, analytic in checks:
             numeric = central_difference(loss, array, epsilon=1e-5)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
@@ -570,7 +582,7 @@ class TestFineTune:
         x = rng.standard_normal((23, 4))
         y = rng.integers(0, 7, size=23)
         def params(m):
-            return [p for r in m.rbms for p in rbm_params(r)] + [m.softmax_weights, m.softmax_bias]
+            return [p for layer in m.rbms for p in layer] + [m.softmax_weights, m.softmax_bias]
 
         cfg = TrainConfig(epochs_finetune=4, batch_size=8, learning_rate_finetune=0.5)
         state = training_copy(model)
@@ -586,10 +598,9 @@ class TestFineTune:
             np.testing.assert_array_equal(rbm.hidden_bias, c)
         np.testing.assert_array_equal(tuned.softmax_weights, head[0])
         np.testing.assert_array_equal(tuned.softmax_bias, head[1])
-        # the state's own arrays were trained: the Dbn is their float64 copy
+        # the given model's own arrays were trained, and are returned with no copy
         for a, b in zip(params(state), params(tuned), strict=True):
-            assert a.dtype == np.float32
-            np.testing.assert_array_equal(a, b)
+            assert a.dtype == np.float32 and a is b
 
     def test_same_seed_same_result(self):
         model = small_dbn(seed=22)
@@ -607,14 +618,15 @@ class TestPredict:
     def prob_model(self, bias):
         model = small_dbn(seed=30, n_in=2, hidden=(3,))
         model.softmax_weights = np.zeros_like(model.softmax_weights)
-        model.softmax_bias = np.asarray(bias, dtype=np.float64)
+        model.softmax_bias = np.asarray(bias, dtype=np.float32)
         return model
 
     def test_picks_most_probable(self):
         probs = np.array([0.1, 0.4, 0.1, 0.1, 0.1, 0.1, 0.1])
         model = self.prob_model(np.log(probs))
         x = np.array([0.3, -0.2])
-        np.testing.assert_allclose(forward(model, x), probs, atol=1e-12)
+        # the log-probabilities are rounded to float32 as the head's bias
+        np.testing.assert_allclose(forward(model, x), probs, rtol=1e-6)
         assert np.argmax(forward(model, x)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -645,10 +657,10 @@ class TestPersistence:
         loaded = load_model(path)
         assert len(loaded.rbms) == len(model.rbms)
         for a, b in zip(model.rbms, loaded.rbms):
-            assert a.visible_kind == b.visible_kind
+            assert b.weights.dtype == b.hidden_bias.dtype == np.float32
             np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.visible_bias, b.visible_bias)
             np.testing.assert_array_equal(a.hidden_bias, b.hidden_bias)
+        assert loaded.input_mean.dtype == loaded.input_std.dtype == np.float64
         np.testing.assert_array_equal(model.softmax_weights, loaded.softmax_weights)
         np.testing.assert_array_equal(model.softmax_bias, loaded.softmax_bias)
         np.testing.assert_array_equal(model.input_mean, loaded.input_mean)
@@ -661,11 +673,22 @@ class TestPersistence:
             load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "v2.dbn"
-        import struct
+        # a DBN1 header: the float64 format of earlier versions, version 1, one layer
+        path = tmp_path / "v1.dbn"
+        path.write_bytes(b"DBN1" + struct.pack("<II", 1, 1) + b"\x00" * 64)
+        with pytest.raises(ModelFormatError,
+                           match="unsupported model version '1'.*run the train stage again"):
+            load_model(path)
 
-        path.write_bytes(b"DBN1" + struct.pack("<II", 2, 1) + b"\x00" * 64)
-        with pytest.raises(ModelFormatError, match="version"):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob + b"\x00", "1 bytes after the model"),
+        (lambda blob: blob[:8] + struct.pack("<I", 0) + blob[12:], "no layers or no labels"),
+    ], ids=["trailing_byte", "no_labels"])
+    def test_counts_that_do_not_match_the_file_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.dbn"
+        save_model(small_dbn(seed=47), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -706,6 +729,25 @@ class TestPersistence:
         save_model(load_model(path), path)
         assert path.read_bytes() == blob
 
+    def test_file_holds_the_float32_arrays_training_produced(self, tmp_path):
+        data = np.random.default_rng(61).standard_normal((24, 4))
+        cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
+        model = fine_tune(pretrain_dbn(data, [5, 6], cfg, seed=62), data, np.arange(24) % 7,
+                          cfg, seed=63)
+        path = tmp_path / "trained.dbn"
+        save_model(model, path)
+        loaded = load_model(path)
+        trained = [a for layer in model.rbms for a in layer] + [model.softmax_weights,
+                                                                 model.softmax_bias]
+        stored = [a for layer in loaded.rbms for a in layer] + [loaded.softmax_weights,
+                                                                 loaded.softmax_bias]
+        for want, got in zip(trained, stored, strict=True):
+            assert want.dtype == got.dtype == np.float32
+            assert want.tobytes() == got.tobytes()
+        # 12-byte header, 16 per layer, 4 per parameter and 8 per standardization entry
+        n_params = sum(a.size for a in trained)
+        assert path.stat().st_size == 12 + 16 * 2 + 4 * n_params + 8 * 2 * 4
+
     def test_declared_size_beyond_the_file_rejected(self, tmp_path):
         # the first layer's row count is checked against the file before anything is allocated
         path = tmp_path / "huge.dbn"
@@ -730,7 +772,7 @@ class TestPersistence:
         assert peak < 1.5 * (path.stat().st_size - 12)
 
     def test_save_copies_no_parameter(self, tmp_path):
-        # the file is written from the arrays' own buffers; a paper-width model is 24 MB
+        # the file is written from the arrays' own buffers; a paper-width model is 12 MB
         model = small_dbn(seed=49, hidden=(300, 300))
         tracemalloc.start()
         try:
@@ -755,14 +797,8 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["model.dbn"]
 
 
-def assert_float64_from_float32(arrays):
-    for a in arrays:
-        assert a.dtype == np.float64
-        np.testing.assert_array_equal(rounded(a), a)
-
-
 class TestFloat32Training:
-    """Training state is float32; every Rbm and Dbn is float64."""
+    """Training state and the model are float32; the standardization is float64."""
 
     def test_state_is_float32(self):
         state = state_of(random_rbm(5, 4, seed=50))
@@ -791,18 +827,11 @@ class TestFloat32Training:
         state = RbmState(w, b, c)
         assert state.weights is w and state.visible_bias is b and state.hidden_bias is c
 
-    def test_train_rbm_returns_float64(self):
-        trained = train_rbm(state_of(random_rbm(5, 4, seed=51)),
-                            np.random.default_rng(52).random((9, 5)),
-                            TrainConfig(epochs_pretrain=2, batch_size=4),
-                            np.random.default_rng(53))
-        assert_float64_from_float32(rbm_params(trained.freeze()))
-
-    def test_pretrain_returns_float32_and_fine_tune_float64(self):
+    def test_pretrain_and_fine_tune_return_float32(self):
         data = np.random.default_rng(54).standard_normal((20, 4))
         cfg = TrainConfig(epochs_pretrain=2, epochs_finetune=2, batch_size=8)
         pretrained = pretrain_dbn(data, [5, 6], cfg, seed=55)
-        arrays = [a for r in pretrained.rbms for a in rbm_params(r)]
+        arrays = [a for layer in pretrained.rbms for a in layer]
         arrays += [pretrained.softmax_weights, pretrained.softmax_bias]
         assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
         # the standardization is fitted and kept in float64, never rounded
@@ -811,8 +840,10 @@ class TestFloat32Training:
         np.testing.assert_array_equal(pretrained.input_std, std)
 
         tuned = fine_tune(pretrained, data, np.arange(20) % 7, cfg, seed=56)
-        assert_float64_from_float32([a for r in tuned.rbms for a in rbm_params(r)])
-        assert_float64_from_float32([tuned.softmax_weights, tuned.softmax_bias])
+        # fine-tuning trained the pretrained arrays in place
+        tuned_arrays = [a for layer in tuned.rbms for a in layer]
+        tuned_arrays += [tuned.softmax_weights, tuned.softmax_bias]
+        assert all(a is b for a, b in zip(arrays, tuned_arrays, strict=True))
         np.testing.assert_array_equal(tuned.input_mean, mean)
         np.testing.assert_array_equal(tuned.input_std, std)
         assert forward(tuned, data).dtype == np.float64
@@ -829,9 +860,7 @@ class TestFloat32Training:
         cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, batch_size=16)
         largest = widths[0] * widths[1] * 4
         activations = n * widths[0] * 4
-        # minibatch-sized temporaries, the CD stacks and the input rows took
-        # 0.6 MB; freezing the float64 model at the end takes 4 MB next to
-        # the float32 2 MB, once the velocities and gradients are gone
+        # minibatch-sized temporaries, the CD stacks and the input rows took 0.6 MB
         slack = 3 << 19
         tracemalloc.start()
         try:
@@ -841,17 +870,22 @@ class TestFloat32Training:
             tracemalloc.stop()
         assert peak < activations + 3 * largest + slack
 
-    def test_models_hold_float64_whatever_they_are_given(self):
-        f32 = np.float32
+    def test_models_hold_float32_whatever_they_are_given(self):
         model = small_dbn(seed=57)
-        rbms = [Rbm(*(p.astype(f32) for p in rbm_params(r)), visible_kind=r.visible_kind)
-                for r in model.rbms]
-        given = Dbn(rbms, model.softmax_weights.astype(f32), model.softmax_bias.astype(f32),
-                    input_mean=model.input_mean.astype(f32),
-                    input_std=model.input_std.astype(f32))
-        arrays = [a for r in given.rbms for a in rbm_params(r)]
-        arrays += [given.softmax_weights, given.softmax_bias, given.input_mean, given.input_std]
-        assert_float64_from_float32(arrays)
+        f64 = np.float64
+        given = Dbn([(w.astype(f64), c.astype(f64)) for w, c in model.rbms],
+                    model.softmax_weights.astype(f64), model.softmax_bias.astype(f64),
+                    input_mean=model.input_mean.astype(np.float32),
+                    input_std=model.input_std.astype(np.float32))
+        arrays = [a for layer in given.rbms for a in layer]
+        arrays += [given.softmax_weights, given.softmax_bias]
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+        assert given.input_mean.dtype == given.input_std.dtype == f64
+        # float32 arrays are taken over as they are, so fine_tune trains the model's own
+        taken = Dbn(model.rbms, model.softmax_weights, model.softmax_bias,
+                    model.input_mean, model.input_std)
+        assert taken.rbms[0].weights is model.rbms[0].weights
+        assert taken.softmax_weights is model.softmax_weights
 
 
 class TestConfigValidation:
@@ -874,13 +908,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(cd_steps=0)
 
-    def test_dbn_rejects_wrong_first_kind(self):
-        rbm = zero_rbm(4, 3, BERNOULLI)
-        with pytest.raises(ValueError, match="gaussian visible units"):
-            Dbn([rbm], np.zeros((3, 7)), np.zeros(7), np.zeros(4), np.ones(4))
-
     def test_dbn_rejects_unchained_sizes(self):
-        first = zero_rbm(4, 3, GAUSSIAN)
-        second = zero_rbm(5, 2, BERNOULLI)
+        first = (np.zeros((4, 3)), np.zeros(3))
+        second = (np.zeros((5, 2)), np.zeros(2))
         with pytest.raises(ValueError, match="do not chain"):
             Dbn([first, second], np.zeros((2, 7)), np.zeros(7), np.zeros(4), np.ones(4))
+
+    def test_dbn_rejects_nonfinite_layers(self):
+        layer = (np.zeros((4, 3)), np.array([0.0, np.nan, 0.0]))
+        with pytest.raises(ValueError, match="layer 0 parameters must be finite"):
+            Dbn([layer], np.zeros((3, 7)), np.zeros(7), np.zeros(4), np.ones(4))

@@ -1,6 +1,11 @@
+import contextlib
 import shutil
+import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,17 +15,9 @@ from hypothesis import strategies as st
 from emonoise import pipeline
 from emonoise.audio import AudioClip, write_wav
 from emonoise.config import RunConfig
-from emonoise.dbn import (
-    BERNOULLI,
-    GAUSSIAN,
-    Dbn,
-    Rbm,
-    TrainConfig,
-    fit_standardization,
-    load_model,
-)
+from emonoise.dbn import Dbn, TrainConfig, fit_standardization, forward, load_model
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
-from _oracles import reference_condition_segments, reference_evaluate
+from _oracles import reference_condition_segments, reference_evaluate, reference_forward
 from conftest import EMOTION_LETTERS, build_tone_corpus, tone_utterance
 from emonoise.pipeline import (
     EvalReport,
@@ -289,10 +286,10 @@ class TestDeltaAndBand:
 def constant_predictor(label: int, n_in=13):
     """A model that always predicts ``label`` regardless of input."""
     rng = np.random.default_rng(123)
-    rbm = Rbm(0.01 * rng.standard_normal((n_in, 4)), np.zeros(n_in), np.zeros(4), GAUSSIAN)
+    layer = (0.01 * rng.standard_normal((n_in, 4)), np.zeros(4))
     bias = np.zeros(7)
     bias[label] = 10.0
-    return Dbn([rbm], np.zeros((4, 7)), bias, input_mean=np.zeros(n_in), input_std=np.ones(n_in))
+    return Dbn([layer], np.zeros((4, 7)), bias, input_mean=np.zeros(n_in), input_std=np.ones(n_in))
 
 
 def make_test_entries(tmp_path, labelled_names):
@@ -428,9 +425,8 @@ class TestSpectralMixing:
         clean = [reference_condition_segments(config, tone_utterance(label, rng), "x", {})[0]
                  for label in range(7)]
         mean, std = fit_standardization(np.vstack(clean))
-        rbm = Rbm(rng.standard_normal((13, 10)), np.zeros(13), 0.1 * rng.standard_normal(10),
-                  GAUSSIAN)
-        model = Dbn([rbm], 3.0 * rng.standard_normal((10, 7)), np.zeros(7),
+        layer = (rng.standard_normal((13, 10)), 0.1 * rng.standard_normal(10))
+        model = Dbn([layer], 3.0 * rng.standard_normal((10, 7)), np.zeros(7),
                     input_mean=mean, input_std=std)
 
         reports = evaluate(model, entries, config, noises)
@@ -447,30 +443,21 @@ class TestSpectralMixing:
         # one time-domain mixture per category and 1 + K FFT passes per
         # utterance, whatever the number of SNRs, and one forward call per row
         # block: the three short utterances' 63 rows make one block
-        counts = Counter()
+        calls = []  # appended to from every featurizing thread
         for name in ("forward", "mix_at_snr", "frame_spectra", "mfcc"):
             def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
-                counts[_name] += 1
+                calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(pipeline, name, counted)
         entries = write_tone_entries(tmp_path, [0, 3, 6])
         reports = evaluate(constant_predictor(Label.ANGER), entries,
                            RunConfig(snrs_db=(0.0, 5.0, 10.0)), two_noises(8000))
         assert len(reports) == 1 + 2 * 3
-        assert counts == {"forward": 1, "mix_at_snr": 3 * 2, "frame_spectra": 3 * (1 + 2)}
+        assert Counter(calls) == {"forward": 1, "mix_at_snr": 3 * 2,
+                                  "frame_spectra": 3 * (1 + 2)}
 
-    def test_reports_do_not_depend_on_the_row_block(self, tmp_path, tone_corpus, monkeypatch):
-        clean_dir, noise_dir = tone_corpus
-        config = RunConfig(
-            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
-            snrs_db=(0.0, 10.0), hidden_sizes=(32, 32),
-            train=TrainConfig(epochs_pretrain=5, epochs_finetune=100, batch_size=16,
-                              learning_rate_pretrain_gaussian=0.01, learning_rate_pretrain=0.1,
-                              learning_rate_finetune=0.1),
-        )
-        model = load_model(train_model(config))
-        entries = [e for e in read_manifest(pipeline.manifest_path(config)) if e.split == "test"]
-        noises = {"white": pipeline.load_noise(config, "white")}
+    def test_reports_do_not_depend_on_the_row_block(self, learned_run, monkeypatch):
+        config, model, entries, noises = learned_run
         calls = Counter()
 
         def scored(block_rows):
@@ -508,6 +495,166 @@ class TestSpectralMixing:
         with pytest.raises(ValueError, match=problem):
             evaluate(constant_predictor(Label.ANGER), entries, RunConfig(snrs_db=(0.0, 10.0)),
                      {"white": noise})
+
+
+@pytest.fixture(scope="module")
+def learned_run(tone_corpus, tmp_path_factory):
+    """(config, model, test entries, noises) of a tone-corpus model whose votes vary."""
+    clean_dir, noise_dir = tone_corpus
+    config = RunConfig(
+        clean_dir=str(clean_dir), noise_dir=str(noise_dir),
+        work_dir=str(tmp_path_factory.mktemp("learned")), snrs_db=(0.0, 10.0),
+        hidden_sizes=(32, 32),
+        train=TrainConfig(epochs_pretrain=5, epochs_finetune=100, batch_size=16,
+                          learning_rate_pretrain_gaussian=0.01, learning_rate_pretrain=0.1,
+                          learning_rate_finetune=0.1),
+    )
+    model = load_model(train_model(config))
+    entries = [e for e in read_manifest(pipeline.manifest_path(config)) if e.split == "test"]
+    return config, model, entries, {"white": pipeline.load_noise(config, "white")}
+
+
+def openblas_threads():
+    """(get, set) of OpenBLAS's thread count; skips the test where no OpenBLAS is found."""
+    found = pipeline._openblas_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS found in this process")
+    return found
+
+
+class TestTwoPhaseEvaluate:
+    """evaluate featurizes on OpenBLAS's thread count, with OpenBLAS pinned to one."""
+
+    def test_report_bytes_do_not_depend_on_the_blas_threads(self, learned_run, monkeypatch):
+        config = learned_run[0]
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(pipeline, "threading",
+                            SimpleNamespace(Thread=CountedThread, Event=threading.Event))
+        get, put = openblas_threads()
+        before = get()
+        reports = []
+        try:
+            for n_threads in (1, 2):
+                put(n_threads)
+                had = get()  # OpenBLAS may cap the count it is set to
+                started.clear()
+                reports.append(evaluate_experiment(config).read_bytes())
+                # the calling thread featurizes too
+                assert len(started) == had - 1
+                assert get() == had
+        finally:
+            put(before)
+        assert reports[0] == reports[1]
+
+    def test_blas_threads_restored_and_first_short_utterance_named(self, tmp_path):
+        # a thread's exception that escaped would fail the test: the suite
+        # turns pytest's unhandled-thread-exception warning into an error
+        clean_dir, noise_dir = build_tone_corpus(tmp_path / "corpus", n_speakers=3)
+        config = RunConfig(
+            clean_dir=str(clean_dir), noise_dir=str(noise_dir), work_dir=str(tmp_path / "work"),
+            snrs_db=(0.0,), hidden_sizes=(8,),
+            train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
+        )
+        train_model(config)
+        tests = [e.path for e in read_manifest(pipeline.manifest_path(config))
+                 if e.split == "test"]
+        get, put = openblas_threads()
+        before = get()
+        try:
+            for n_threads in (1, 2):
+                put(n_threads)
+                had = get()
+                evaluate_experiment(config)
+                assert get() == had
+            for path in (tests[1], tests[4]):
+                write_wav(AudioClip(np.full(100, 0.1), 16000), path)
+            for n_threads in (1, 2):
+                put(n_threads)
+                had = get()
+                with pytest.raises(ValueError) as refused:
+                    evaluate_experiment(config)
+                assert str(refused.value) == (
+                    f"{tests[1]}: clip of 100 samples is shorter than one frame (400)")
+                assert get() == had
+        finally:
+            put(before)
+
+    def test_every_entry_is_featurized_once_under_contention(self, monkeypatch):
+        # four threads, switching as often as the interpreter allows: a lost
+        # claim would skip an entry or featurize one twice
+        calls = []
+
+        def featurized(config, clip, name, noises, snrs_db):
+            calls.append(name)
+            time.sleep(0)  # lets another thread run, as numpy's transforms do
+            return name
+
+        monkeypatch.setattr(pipeline, "_load_utterance", lambda config, path: path)
+        monkeypatch.setattr(pipeline, "_condition_segments", featurized)
+        entries = [ManifestEntry(f"{k:04d}a01Wa.wav", Label.ANGER, "01", "test")
+                   for k in range(2000)]
+        get, put = openblas_threads()
+        before, interval = get(), sys.getswitchinterval()
+        try:
+            put(4)
+            sys.setswitchinterval(1e-6)
+            got = pipeline._featurize(RunConfig(), entries, {}, [0.0])
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
+        assert got == [e.path for e in entries]
+        assert sorted(calls) == got
+
+    def test_no_claimed_entry_is_dropped_when_the_caller_finishes_first(self, monkeypatch):
+        # the worker is held at its first stop check until the calling
+        # thread has featurized the rest and is joining it; a worker that
+        # claimed before that check would find its entry unfinished
+        caller_joining = threading.Event()
+        checks = []
+
+        class HeldEvent(threading.Event):
+            def is_set(self):
+                if threading.current_thread() is not threading.main_thread() and not checks:
+                    checks.append(caller_joining.wait(timeout=10))
+                return super().is_set()
+
+        class SignallingThread(threading.Thread):
+            def join(self, timeout=None):
+                caller_joining.set()
+                super().join(timeout)
+
+        @contextlib.contextmanager
+        def two_threads():
+            yield 2
+
+        monkeypatch.setattr(pipeline, "threading",
+                            SimpleNamespace(Thread=SignallingThread, Event=HeldEvent))
+        monkeypatch.setattr(pipeline, "_blas_pinned", two_threads)
+        monkeypatch.setattr(pipeline, "_load_utterance", lambda config, path: path)
+        monkeypatch.setattr(pipeline, "_condition_segments",
+                            lambda config, clip, name, noises, snrs_db: name)
+        entries = [ManifestEntry(f"{k:04d}a01Wa.wav", Label.ANGER, "01", "test")
+                   for k in range(5)]
+        got = pipeline._featurize(RunConfig(), entries, {}, [0.0])
+        assert checks == [True]  # the worker did wait for the caller
+        assert got == [e.path for e in entries]
+
+    def test_float32_forward_matches_a_float64_reference(self, learned_run):
+        config, model, entries, noises = learned_run
+        segments = pipeline._featurize(config, entries, noises, sorted(config.snrs_db))
+        rows = np.concatenate([s.reshape(-1, s.shape[-1]) for s in segments])
+        got, want = forward(model, rows), reference_forward(model, rows)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+        # float32 layers and head: the largest probability error here is 2.8e-7
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 CLEAN_ROW = "clean,,0.9,0.9,0.9,0.0,<10\n"
