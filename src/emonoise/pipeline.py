@@ -4,10 +4,10 @@ The reference protocol trains on clean speech only, evaluates the clean
 baseline plus every configured noise category x SNR on the test split, and
 reports the clean-vs-noisy accuracy difference per condition. Evaluation
 runs in two phases. It first featurizes the test split: each utterance is
-loaded and transformed once, under every condition, on as many threads as
-OpenBLAS has, with OpenBLAS pinned to one thread meanwhile (``evaluate``
-says why). It then classifies the segment vectors of consecutive
-utterances together in row blocks of about ``_SCORE_BLOCK_ROWS``, with
+loaded and transformed once, under every condition, in a thread pool with
+as many workers as OpenBLAS has threads, with OpenBLAS pinned to one thread
+meanwhile (``evaluate`` says why). It then stacks every segment vector into
+one matrix and classifies it in slices of ``_SCORE_BLOCK_ROWS`` rows, with
 OpenBLAS's threads back. Utterance labels come from majority vote over
 segment predictions; segment-level accuracy is reported alongside.
 
@@ -33,11 +33,10 @@ import csv
 import ctypes
 import functools
 import hashlib
-import itertools
 import json
 import math
-import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
 from pathlib import Path
@@ -85,9 +84,9 @@ REPORT_COLUMNS = (
 
 CLEAN_CONDITION = "clean"
 
-# segment rows evaluate gathers before one forward call: at paper width a few
-# hundred rows run the GEMMs near their full rate, where one utterance's
-# rows run them skinny
+# rows of evaluate's stacked segment matrix per forward call: at paper width
+# a few hundred rows run the GEMMs near their full rate, and the activations
+# of one slice stay small
 _SCORE_BLOCK_ROWS = 512
 
 
@@ -354,49 +353,16 @@ def _blas_pinned():
 def _featurize(config: RunConfig, entries, noises, snrs_db) -> list[np.ndarray]:
     """``_condition_segments`` of every entry, in entry order, on as many threads as OpenBLAS has.
 
-    The calling thread works alongside the others; with one thread it works
-    alone and none is started. Each thread claims the next unclaimed entry
-    until none is left, or until an entry has failed or the calling thread
-    has been interrupted. A thread checks for that stop before it claims,
-    never after, so a claimed entry is always finished. Entries are claimed
-    in order, so every entry before a failed one has been featurized or has
-    failed too. The first failure in entry order is re-raised here, once
-    every thread has stopped.
+    The entries go through a thread pool of that many workers while the
+    calling thread waits. The first failure in entry order is raised; the
+    pool then cancels the entries not yet started and waits for the running
+    ones before OpenBLAS's thread count is restored.
     """
-    results = [None] * len(entries)
-    claims = itertools.count()
-    stop = threading.Event()
-
-    def work():
-        while not stop.is_set():
-            k = next(claims)
-            if k >= len(entries):
-                return
-            try:
-                clip = _load_utterance(config, entries[k].path)
-                results[k] = _condition_segments(config, clip, Path(entries[k].path).name,
-                                                 noises, snrs_db)
-            except Exception as exc:  # raised in the calling thread below
-                results[k] = exc
-                stop.set()
-
-    with _blas_pinned() as n_threads:
-        workers = [threading.Thread(target=work)
-                   for _ in range(min(n_threads, len(entries)) - 1)]
-        for worker in workers:
-            worker.start()
-        try:
-            work()
-        except BaseException:
-            stop.set()  # interrupted: the workers take no further entry
-            raise
-        finally:
-            for worker in workers:
-                worker.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+    with _blas_pinned() as n_threads, ThreadPoolExecutor(n_threads) as pool:
+        return list(pool.map(
+            lambda e: _condition_segments(config, _load_utterance(config, e.path),
+                                          Path(e.path).name, noises, snrs_db),
+            entries))
 
 
 def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
@@ -426,12 +392,12 @@ def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]
     products would wait for a time slice. Pinned, every product runs in the
     thread that calls it.
 
-    Phase 2 classifies, with OpenBLAS's threads restored. The segment
-    vectors of every condition of consecutive utterances are gathered until
-    about ``_SCORE_BLOCK_ROWS`` rows are pending and then classified by one
-    ``forward`` call; each utterance's segment hits and majority votes are
-    tallied from its own rows of the block. The reports do not depend on
-    the number of threads.
+    Phase 2 classifies, with OpenBLAS's threads restored. The condition-major
+    segment rows of every utterance are stacked into one matrix, which
+    ``forward`` classifies in slices of ``_SCORE_BLOCK_ROWS`` rows; each
+    utterance's segment hits and majority votes are tallied from its own
+    slice of the predictions. The reports do not depend on the number of
+    threads or the slice size.
     """
     entries = list(entries)
     if not entries:
@@ -439,26 +405,20 @@ def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]
     snrs_db = sorted(config.snrs_db)
     conditions = [(CLEAN_CONDITION, None)] + [(c, snr) for c in noises for snr in snrs_db]
     features = _featurize(config, entries, noises, snrs_db)
+    rows = np.concatenate([segments.reshape(-1, segments.shape[-1]) for segments in features])
+    preds = np.concatenate([np.argmax(forward(model, rows[i : i + _SCORE_BLOCK_ROWS]), axis=-1)
+                            for i in range(0, len(rows), _SCORE_BLOCK_ROWS)])
     confusions = np.zeros((len(conditions), N_LABELS, N_LABELS), dtype=np.int64)
     seg_hits = np.zeros(len(conditions), dtype=np.int64)
-    seg_total = 0  # the same for every condition
-    pending = []  # (label, condition-major segment rows) of utterances not yet classified
-    pending_rows = 0
-    for k, (entry, segments) in enumerate(zip(entries, features)):
-        pending.append((int(entry.label), segments.reshape(-1, segments.shape[-1])))
-        pending_rows += len(pending[-1][1])
-        if pending_rows < _SCORE_BLOCK_ROWS and k + 1 < len(entries):
-            continue
-        preds = np.argmax(forward(model, np.concatenate([rows for _, rows in pending])), axis=-1)
-        start = 0
-        for label, rows in pending:
-            votes = preds[start : start + len(rows)].reshape(len(conditions), -1)
-            start += len(rows)
-            seg_hits += np.sum(votes == label, axis=1)
-            seg_total += votes.shape[1]
-            for i, condition_votes in enumerate(votes):
-                confusions[i, label, majority_vote(condition_votes)] += 1
-        pending, pending_rows = [], 0
+    seg_total = len(rows) // len(conditions)  # the same for every condition
+    start = 0
+    for entry, segments in zip(entries, features):
+        label = int(entry.label)
+        votes = preds[start : start + segments[..., 0].size].reshape(segments.shape[:2])
+        start += votes.size
+        seg_hits += np.sum(votes == label, axis=1)
+        for i, condition_votes in enumerate(votes):
+            confusions[i, label, majority_vote(condition_votes)] += 1
 
     reports = []
     for i, (condition, snr_db) in enumerate(conditions):

@@ -1,11 +1,11 @@
 import contextlib
+import math
 import shutil
 import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -441,8 +441,8 @@ class TestSpectralMixing:
 
     def test_work_per_utterance(self, tmp_path, monkeypatch):
         # one time-domain mixture per category and 1 + K FFT passes per
-        # utterance, whatever the number of SNRs, and one forward call per row
-        # block: the three short utterances' 63 rows make one block
+        # utterance, whatever the number of SNRs, and one forward call per
+        # slice of _SCORE_BLOCK_ROWS rows: the three short utterances' 63 rows make one
         calls = []  # appended to from every featurizing thread
         for name in ("forward", "mix_at_snr", "frame_spectra", "mfcc"):
             def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
@@ -458,27 +458,32 @@ class TestSpectralMixing:
 
     def test_reports_do_not_depend_on_the_row_block(self, learned_run, monkeypatch):
         config, model, entries, noises = learned_run
+        sizes = [s[..., 0].size for s in
+                 pipeline._featurize(config, entries, noises, sorted(config.snrs_db))]
+        n_rows, ends = sum(sizes), set(np.cumsum(sizes).tolist())
         calls = Counter()
 
         def scored(block_rows):
             monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", block_rows)
             calls.clear()
-            return evaluate(model, entries, config, noises)
+            reports = evaluate(model, entries, config, noises)
+            assert calls["forward"] == math.ceil(n_rows / block_rows)
+            assert calls["rows"] == n_rows
+            return reports
 
-        def counted(*args, _real=pipeline.forward):
+        def counted(model, rows, _real=pipeline.forward):
             calls["forward"] += 1
-            return _real(*args)
+            calls["rows"] += len(rows)
+            return _real(model, rows)
 
         monkeypatch.setattr(pipeline, "forward", counted)
-        want = scored(10**9)  # the whole split in one block
-        assert calls["forward"] == 1
+        want = scored(10**9)  # the whole split in one call
         # the trained model's votes vary, so a misplaced row would show
         assert np.count_nonzero(sum(r.confusion for r in want).sum(axis=0)) > 1
-        per_utterance = scored(1)
-        assert calls["forward"] == len(entries)
-        several_per_block = scored(20)  # a few utterances a block, the last block ragged
-        assert 1 < calls["forward"] < len(entries)
-        for got in (per_utterance, several_per_block):
+        # 7 rows a call puts a slice boundary inside an utterance's rows
+        assert any(k not in ends for k in range(7, n_rows, 7))
+        for block_rows in (1, 7, 20):
+            got = scored(block_rows)
             for a, b in zip(got, want, strict=True):
                 np.testing.assert_array_equal(a.confusion, b.confusion)
                 assert replace(a, confusion=None) == replace(b, confusion=None)
@@ -527,15 +532,13 @@ class TestTwoPhaseEvaluate:
 
     def test_report_bytes_do_not_depend_on_the_blas_threads(self, learned_run, monkeypatch):
         config = learned_run[0]
-        started = []
+        threads = set()  # idents of the threads that featurized
 
-        class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def featurized(*args, _real=pipeline._condition_segments):
+            threads.add(threading.get_ident())
+            return _real(*args)
 
-        monkeypatch.setattr(pipeline, "threading",
-                            SimpleNamespace(Thread=CountedThread, Event=threading.Event))
+        monkeypatch.setattr(pipeline, "_condition_segments", featurized)
         get, put = openblas_threads()
         before = get()
         reports = []
@@ -543,10 +546,10 @@ class TestTwoPhaseEvaluate:
             for n_threads in (1, 2):
                 put(n_threads)
                 had = get()  # OpenBLAS may cap the count it is set to
-                started.clear()
+                threads.clear()
                 reports.append(evaluate_experiment(config).read_bytes())
-                # the calling thread featurizes too
-                assert len(started) == had - 1
+                assert threading.get_ident() not in threads  # the calling thread waits
+                assert 1 <= len(threads) <= had  # exactly one at one OpenBLAS thread
                 assert get() == had
         finally:
             put(before)
@@ -611,39 +614,34 @@ class TestTwoPhaseEvaluate:
         assert got == [e.path for e in entries]
         assert sorted(calls) == got
 
-    def test_no_claimed_entry_is_dropped_when_the_caller_finishes_first(self, monkeypatch):
-        # the worker is held at its first stop check until the calling
-        # thread has featurized the rest and is joining it; a worker that
-        # claimed before that check would find its entry unfinished
-        caller_joining = threading.Event()
-        checks = []
+    def test_first_failure_in_entry_order_is_raised(self, monkeypatch):
+        # entry 1 fails only after entry 3 has failed; the error must still
+        # name entry 1, and no pool thread may outlive the call
+        later_failed = threading.Event()
 
-        class HeldEvent(threading.Event):
-            def is_set(self):
-                if threading.current_thread() is not threading.main_thread() and not checks:
-                    checks.append(caller_joining.wait(timeout=10))
-                return super().is_set()
-
-        class SignallingThread(threading.Thread):
-            def join(self, timeout=None):
-                caller_joining.set()
-                super().join(timeout)
+        def featurized(config, clip, name, noises, snrs_db):
+            if name == "0001a01Wa.wav":
+                assert later_failed.wait(timeout=10)
+                raise ValueError(name)
+            if name == "0003a01Wa.wav":
+                later_failed.set()
+                raise ValueError(name)
+            return name
 
         @contextlib.contextmanager
         def two_threads():
             yield 2
 
-        monkeypatch.setattr(pipeline, "threading",
-                            SimpleNamespace(Thread=SignallingThread, Event=HeldEvent))
         monkeypatch.setattr(pipeline, "_blas_pinned", two_threads)
         monkeypatch.setattr(pipeline, "_load_utterance", lambda config, path: path)
-        monkeypatch.setattr(pipeline, "_condition_segments",
-                            lambda config, clip, name, noises, snrs_db: name)
+        monkeypatch.setattr(pipeline, "_condition_segments", featurized)
         entries = [ManifestEntry(f"{k:04d}a01Wa.wav", Label.ANGER, "01", "test")
-                   for k in range(5)]
-        got = pipeline._featurize(RunConfig(), entries, {}, [0.0])
-        assert checks == [True]  # the worker did wait for the caller
-        assert got == [e.path for e in entries]
+                   for k in range(6)]
+        active = threading.active_count()
+        with pytest.raises(ValueError, match="^0001a01Wa.wav$"):
+            pipeline._featurize(RunConfig(), entries, {}, [0.0])
+        assert later_failed.is_set()
+        assert threading.active_count() == active
 
     def test_float32_forward_matches_a_float64_reference(self, learned_run):
         config, model, entries, noises = learned_run
