@@ -10,6 +10,13 @@ missing.
 Each setting flag stands for one config-file key, and its text is converted
 by ``config.apply_settings`` exactly as that key's value in a file would be.
 
+Only ``train``, ``evaluate``, ``run`` and ``report`` import ``pipeline``,
+and with it numpy, the DSP and the DBN, inside ``dispatch``. ``prepare``
+needs only ``manifest`` and ``config``, which import the standard library
+alone, so it, ``--help`` and usage errors run without loading numpy, whose
+import is most of a short stage's start-up time. ``report`` needs no numpy
+either, but its checks live with the report writer in ``pipeline``.
+
 Exit codes: 0 success, 1 domain error (bad paths, malformed data), 2 usage
 error. Progress goes to stderr, a few lines per stage (``evaluate`` writes one
 for all its conditions); only ``report --print`` writes to stdout.
@@ -35,7 +42,7 @@ import ctypes
 import os
 import sys
 
-from . import pipeline
+from . import manifest
 from .config import DELTA_MODES, SPLIT_STRATEGIES, ConfigError, RunConfig, apply_settings, load_config
 
 _STAGES = {
@@ -124,8 +131,11 @@ def dispatch(args: argparse.Namespace, config: RunConfig) -> int:
 
     try:
         if args.command == "prepare":
-            pipeline.prepare(config, log)
-        elif args.command == "train":
+            manifest.prepare(config, log)
+            return 0
+        from . import pipeline  # loads numpy; see the module docstring
+
+        if args.command == "train":
             pipeline.train_model(config, log)
         elif args.command == "evaluate":
             pipeline.evaluate_experiment(config, log)

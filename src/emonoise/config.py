@@ -1,5 +1,11 @@
 """Experiment configuration and its flat ``key = value`` file format.
 
+This module owns every config type: ``RunConfig`` and the three blocks it
+nests, ``MfccConfig`` and ``SegmentConfig`` (read by ``dsp``) and
+``TrainConfig`` (read by ``dbn``), which those modules import from here. It
+imports no numeric module, so parsing a command line or a config file does
+not load numpy.
+
 The file uses section headers named after the modules they configure
 ([pipeline], [audio], [dsp], [dbn]); every key is optional and defaults to
 the module defaults, so an empty file reproduces the reference protocol.
@@ -13,11 +19,89 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
-from .dbn import TrainConfig
-from .dsp import MfccConfig, SegmentConfig
-
 SPLIT_STRATEGIES = ("stratified_random", "leave_speakers_out")
 DELTA_MODES = ("relative", "absolute")
+
+
+@dataclass(frozen=True)
+class MfccConfig:
+    """Extraction parameters. Defaults assume 16 kHz speech (25 ms / 10 ms)."""
+
+    frame_len: int = 400
+    hop: int = 160
+    fft_size: int = 512
+    n_mels: int = 26
+    n_ceps: int = 13
+    preemph: float = 0.97
+    fmin_hz: float = 0.0
+    fmax_hz: float | None = None  # None means Nyquist at extraction time
+    log_floor: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if self.frame_len < 1 or self.hop < 1:
+            raise ValueError("frame_len and hop must be at least 1")
+        if self.fft_size < 1 or self.fft_size & (self.fft_size - 1):
+            raise ValueError("fft_size must be a power of two")
+        if self.fft_size < self.frame_len:
+            raise ValueError("fft_size must be >= frame_len")
+        if not 0 < self.n_ceps <= self.n_mels:
+            raise ValueError("need 0 < n_ceps <= n_mels")
+        if not 0.0 <= self.preemph < 1.0:
+            raise ValueError("preemph must lie in [0, 1)")
+        # chained comparisons, so that NaN fails them
+        if not 0.0 <= self.fmin_hz < math.inf or (
+            self.fmax_hz is not None and not self.fmin_hz < self.fmax_hz < math.inf
+        ):
+            raise ValueError("need 0 <= fmin_hz < fmax_hz, both finite")
+        if not 0.0 < self.log_floor < math.inf:
+            raise ValueError("log_floor must be positive and finite")
+
+
+@dataclass(frozen=True)
+class SegmentConfig:
+    """Frames per segment and the hop between segment starts (in frames)."""
+
+    seg_frames: int = 25
+    seg_hop: int = 25
+
+    def __post_init__(self) -> None:
+        if self.seg_frames < 1 or self.seg_hop < 1:
+            raise ValueError("seg_frames and seg_hop must be at least 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Optimizer hyperparameters; the seed is passed to each training routine.
+
+    The paper leaves all of these open, so they are ordinary config: CD-1,
+    momentum SGD with a small weight decay during pretraining, and plain
+    momentum SGD on cross-entropy for fine-tuning of the whole stack.
+    """
+
+    cd_steps: int = 1
+    learning_rate_pretrain: float = 0.01
+    learning_rate_pretrain_gaussian: float = 0.001
+    learning_rate_finetune: float = 0.01
+    momentum: float = 0.9
+    weight_decay: float = 2e-4
+    batch_size: int = 64
+    epochs_pretrain: int = 30
+    epochs_finetune: int = 50
+
+    def __post_init__(self) -> None:
+        if self.cd_steps < 1:
+            raise ValueError("cd_steps must be at least 1")
+        for name in ("learning_rate_pretrain", "learning_rate_pretrain_gaussian",
+                     "learning_rate_finetune", "weight_decay"):
+            # a chained comparison, so that NaN fails it; inf would train to NaN weights
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
+            raise ValueError("epoch counts must be nonnegative")
 
 
 @dataclass

@@ -61,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._files import atomic_open
+from .config import TrainConfig
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -99,41 +100,6 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
         den += 1.0
         block /= den
     return z
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer hyperparameters; the seed is passed to each training routine.
-
-    The paper leaves all of these open, so they are ordinary config: CD-1,
-    momentum SGD with a small weight decay during pretraining, and plain
-    momentum SGD on cross-entropy for fine-tuning of the whole stack.
-    """
-
-    cd_steps: int = 1
-    learning_rate_pretrain: float = 0.01
-    learning_rate_pretrain_gaussian: float = 0.001
-    learning_rate_finetune: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 2e-4
-    batch_size: int = 64
-    epochs_pretrain: int = 30
-    epochs_finetune: int = 50
-
-    def __post_init__(self) -> None:
-        if self.cd_steps < 1:
-            raise ValueError("cd_steps must be at least 1")
-        for name in ("learning_rate_pretrain", "learning_rate_pretrain_gaussian",
-                     "learning_rate_finetune", "weight_decay"):
-            # a chained comparison, so that NaN fails it; inf would train to NaN weights
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
-            raise ValueError("epoch counts must be nonnegative")
 
 
 class Layer(NamedTuple):

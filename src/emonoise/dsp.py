@@ -22,58 +22,12 @@ split that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .audio import AudioClip
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    """Extraction parameters. Defaults assume 16 kHz speech (25 ms / 10 ms)."""
-
-    frame_len: int = 400
-    hop: int = 160
-    fft_size: int = 512
-    n_mels: int = 26
-    n_ceps: int = 13
-    preemph: float = 0.97
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None  # None means Nyquist at extraction time
-    log_floor: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.frame_len < 1 or self.hop < 1:
-            raise ValueError("frame_len and hop must be at least 1")
-        if self.fft_size < 1 or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
-        if self.fft_size < self.frame_len:
-            raise ValueError("fft_size must be >= frame_len")
-        if not 0 < self.n_ceps <= self.n_mels:
-            raise ValueError("need 0 < n_ceps <= n_mels")
-        if not 0.0 <= self.preemph < 1.0:
-            raise ValueError("preemph must lie in [0, 1)")
-        # chained comparisons, so that NaN fails them
-        if not 0.0 <= self.fmin_hz < np.inf or (
-            self.fmax_hz is not None and not self.fmin_hz < self.fmax_hz < np.inf
-        ):
-            raise ValueError("need 0 <= fmin_hz < fmax_hz, both finite")
-        if not 0.0 < self.log_floor < np.inf:
-            raise ValueError("log_floor must be positive and finite")
-
-
-@dataclass(frozen=True)
-class SegmentConfig:
-    """Frames per segment and the hop between segment starts (in frames)."""
-
-    seg_frames: int = 25
-    seg_hop: int = 25
-
-    def __post_init__(self) -> None:
-        if self.seg_frames < 1 or self.seg_hop < 1:
-            raise ValueError("seg_frames and seg_hop must be at least 1")
+from .config import MfccConfig, SegmentConfig
 
 
 def frame_signal(samples, frame_len: int, hop: int) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Experiment orchestration: manifests, splits, training, and scoring.
+"""Experiment orchestration: training and scoring on the split in manifest.csv.
+
+The corpus listing, its split and manifest.csv are made by ``manifest``,
+which runs without numpy; this module binds its ``prepare``,
+``read_manifest`` and ``manifest_path``, and creates a missing manifest
+before training or scoring.
 
 The reference protocol trains on clean speech only, evaluates the clean
 baseline plus every configured noise category x SNR on the test split, and
@@ -18,10 +23,11 @@ config fields training read, and evaluation refuses a model whose key does
 not match the current manifest and config. Features are computed from the
 WAVs under the current config and never cached. Training turns each
 utterance into MFCC segment means in ``_training_set``, after mixing in one
-noise at one SNR when training on noisy speech. Evaluation needs every
-condition of each utterance, so ``_condition_segments`` transforms the
-utterance once and one time-domain mixture per noise category, and derives
-the other SNRs from those spectra (see ``evaluate``).
+noise at one SNR when training on noisy speech; it runs on one thread, with
+OpenBLAS pinned to one thread as well. Evaluation needs every condition of
+each utterance, so ``_condition_segments`` transforms the utterance once and
+one time-domain mixture per noise category, and derives the other SNRs from
+those spectra (see ``evaluate``).
 Training hands the raw segment vectors and the master seed to ``dbn``,
 which fits, stores and applies the input standardization itself.
 """
@@ -37,8 +43,7 @@ import json
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from enum import IntEnum
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,29 +53,7 @@ from .audio import AudioClip, mix_at_snr, read_wav, resample
 from .config import RunConfig
 from .dbn import N_LABELS, Dbn, fine_tune, forward, load_model, pretrain_dbn, save_model
 from .dsp import cepstra, frame_spectra, mel_energies, mfcc, segment_features
-
-
-class Label(IntEnum):
-    ANGER = 0
-    BOREDOM = 1
-    DISGUST = 2
-    FEAR = 3
-    JOY = 4
-    NEUTRAL = 5
-    SADNESS = 6
-
-
-# Berlin corpus filename convention: speaker(2) text(3) emotion(1) version(1),
-# e.g. 03a01Fa.wav -> speaker 03, Freude (joy)
-EMODB_EMOTION_CODES = {
-    "W": Label.ANGER,
-    "L": Label.BOREDOM,
-    "E": Label.DISGUST,
-    "A": Label.FEAR,
-    "F": Label.JOY,
-    "N": Label.NEUTRAL,
-    "T": Label.SADNESS,
-}
+from .manifest import manifest_path, prepare, read_manifest
 
 REPORT_COLUMNS = (
     "condition",
@@ -88,135 +71,6 @@ CLEAN_CONDITION = "clean"
 # a few hundred rows run the GEMMs near their full rate, and the activations
 # of one slice stay small
 _SCORE_BLOCK_ROWS = 512
-
-
-def emodb_label_rule(filename: str) -> Label:
-    """Emotion from the Berlin-style filename letter code."""
-    stem = Path(filename).stem
-    if len(stem) >= 6 and stem[5] in EMODB_EMOTION_CODES:
-        return EMODB_EMOTION_CODES[stem[5]]
-    raise ValueError(f"cannot map filename {filename!r} to an emotion label")
-
-
-def emodb_speaker_rule(filename: str) -> str:
-    """Speaker id from the Berlin-style filename prefix."""
-    stem = Path(filename).stem
-    if len(stem) >= 2 and stem[:2].isdigit():
-        return stem[:2]
-    raise ValueError(f"cannot parse a speaker id from filename {filename!r}")
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    path: str
-    label: Label
-    speaker: str
-    split: str = ""
-
-
-def build_manifest(clean_dir):
-    """One entry per Berlin-named WAV file under clean_dir, sorted by filename, untagged."""
-    root = Path(clean_dir)
-    if not root.is_dir():
-        raise ValueError(f"clean_dir {clean_dir!r} is not a directory")
-    names = sorted(p.name for p in root.iterdir() if p.suffix.lower() == ".wav")
-    if not names:
-        raise ValueError(f"no WAV files found under {clean_dir!r}")
-    return [
-        ManifestEntry(str(root / name), emodb_label_rule(name), emodb_speaker_rule(name))
-        for name in names
-    ]
-
-
-def split(manifest, strategy: str = "stratified_random", test_fraction: float = 0.2,
-          seed: int = 42):
-    """Assign train/test tags; deterministic given the seed.
-
-    stratified_random shuffles each label's utterances and sends the last
-    ceil(fraction * n) to test; it refuses a label that this would leave
-    with none for training. leave_speakers_out assigns whole speakers
-    to test until the fraction is reached; it refuses a split that leaves
-    a label with no training utterance.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    if not manifest:
-        raise ValueError("manifest is empty")
-    rng = np.random.default_rng(seed)
-    test_idx: set[int] = set()
-
-    if strategy == "stratified_random":
-        for label in Label:
-            members = [i for i, e in enumerate(manifest) if e.label == label]
-            if not members:
-                continue
-            if len(members) < 2:
-                raise ValueError(
-                    f"label {label.name.lower()} has {len(members)} utterance(s); "
-                    "stratified_random needs at least 2"
-                )
-            order = rng.permutation(len(members))
-            n_test = math.ceil(test_fraction * len(members))
-            if n_test == len(members):
-                raise ValueError(
-                    f"label {label.name.lower()} has {len(members)} utterances; "
-                    f"test_fraction {test_fraction} sends all of them to test"
-                )
-            test_idx.update(members[i] for i in order[len(members) - n_test :])
-    elif strategy == "leave_speakers_out":
-        speakers = sorted({e.speaker for e in manifest})
-        order = rng.permutation(len(speakers))
-        target = test_fraction * len(manifest)
-        count = 0
-        for pos in order:
-            if count >= target:
-                break
-            chosen = speakers[pos]
-            members = [i for i, e in enumerate(manifest) if e.speaker == chosen]
-            test_idx.update(members)
-            count += len(members)
-        if len(test_idx) == len(manifest):
-            raise ValueError("leave_speakers_out left no speakers for training")
-        trained = {e.label for i, e in enumerate(manifest) if i not in test_idx}
-        untrained = sorted({e.label for e in manifest} - trained)
-        if untrained:
-            raise ValueError(
-                f"label {untrained[0].name.lower()} is spoken only by test speakers; "
-                "leave_speakers_out leaves it no training utterance"
-            )
-    else:
-        raise ValueError(f"unknown split strategy {strategy!r}")
-
-    return [
-        replace(e, split="test" if i in test_idx else "train") for i, e in enumerate(manifest)
-    ]
-
-
-def write_manifest(manifest, path) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "label", "speaker", "split"])
-        for e in manifest:
-            writer.writerow([e.path, e.label.name.lower(), e.speaker, e.split])
-
-
-def read_manifest(path):
-    """Entries of a manifest CSV; a malformed row is a ValueError naming its line."""
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["path", "label", "speaker", "split"]:
-            raise ValueError(f"{path}: not a manifest CSV (bad header)")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != 4:
-                raise ValueError(f"{where}: expected 4 fields, found {len(row)}")
-            if row[1].upper() not in Label.__members__:
-                raise ValueError(f"{where}: unknown label {row[1]!r}")
-            if row[3] not in ("train", "test"):
-                raise ValueError(f"{where}: split {row[3]!r} is neither 'train' nor 'test'")
-            entries.append(ManifestEntry(row[0], Label[row[1].upper()], row[2], row[3]))
-    return entries
 
 
 def majority_vote(segment_labels) -> int:
@@ -557,10 +411,6 @@ def load_noise(config: RunConfig, category: str) -> AudioClip:
     return clip
 
 
-def manifest_path(config: RunConfig) -> Path:
-    return Path(config.work_dir) / "manifest.csv"
-
-
 def model_path(config: RunConfig) -> Path:
     return Path(config.work_dir) / "model.dbn"
 
@@ -571,18 +421,6 @@ def model_key_path(config: RunConfig) -> Path:
 
 def report_path(config: RunConfig) -> Path:
     return Path(config.work_dir) / "report.csv"
-
-
-def prepare(config: RunConfig, progress=None) -> Path:
-    """Build the manifest from clean_dir, split it, and write manifest.csv."""
-    log = progress or (lambda msg: None)
-    manifest = build_manifest(config.clean_dir)
-    manifest = split(manifest, config.split_strategy, config.test_fraction, config.seed)
-    Path(config.work_dir).mkdir(parents=True, exist_ok=True)
-    path = manifest_path(config)
-    write_manifest(manifest, path)
-    log(f"manifest: {len(manifest)} utterances -> {path}")
-    return path
 
 
 def _require_manifest(config: RunConfig, progress=None):
@@ -599,21 +437,26 @@ def _training_set(config: RunConfig, train_entries, noises=None):
     given, each utterance is mixed with one category at one SNR, both drawn
     from a generator keyed by the seed and the utterance name; the noise
     window is keyed the same way (``noise_offset_for``).
+
+    The utterances run one after another in the calling thread, with
+    OpenBLAS pinned to one thread (``_blas_pinned``), so the small mel and
+    DCT products never wait for an OpenBLAS worker to get a core.
     """
     categories = list(noises or ())
     blocks = []
     labels = []
-    for entry in train_entries:
-        name = Path(entry.path).name
-        clip = _load_utterance(config, entry.path)
-        if noises:
-            pick = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
-            noise = noises[categories[int(pick.integers(len(categories)))]]
-            snr = config.snrs_db[int(pick.integers(len(config.snrs_db)))]
-            clip = mix_at_snr(clip, noise, snr, noise_offset_for(config.seed, name, len(noise)))
-        segments = segment_features(mfcc(clip, config.mfcc), config.segment)
-        blocks.append(segments)
-        labels.extend([int(entry.label)] * segments.shape[0])
+    with _blas_pinned():
+        for entry in train_entries:
+            name = Path(entry.path).name
+            clip = _load_utterance(config, entry.path)
+            if noises:
+                pick = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
+                noise = noises[categories[int(pick.integers(len(categories)))]]
+                snr = config.snrs_db[int(pick.integers(len(config.snrs_db)))]
+                clip = mix_at_snr(clip, noise, snr, noise_offset_for(config.seed, name, len(noise)))
+            segments = segment_features(mfcc(clip, config.mfcc), config.segment)
+            blocks.append(segments)
+            labels.extend([int(entry.label)] * segments.shape[0])
     return np.vstack(blocks), np.asarray(labels, dtype=np.int64)
 
 

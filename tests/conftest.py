@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emonoise.audio import AudioClip, write_wav
-from emonoise.pipeline import Label
+from emonoise.manifest import Label
 
 # label index -> Berlin filename emotion letter
 EMOTION_LETTERS = "WLEAFNT"

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import emonoise
-from emonoise import cli
+from emonoise import cli, pipeline
 from emonoise.audio import AudioClip, write_wav
 from emonoise.cli import dispatch, main, parse_args
 from emonoise.config import _SCHEMA, RunConfig, load_config
 from emonoise.dbn import load_model, save_model
-from emonoise.pipeline import read_manifest
+from emonoise.manifest import read_manifest
 
 from conftest import build_tone_corpus
 
@@ -335,3 +335,33 @@ class TestAllocator:
             for mode in ("keep", "default")
         }
         assert faults["keep"] * 4 < faults["default"], faults
+
+
+def run_without_site_packages(*args, cwd):
+    """``python -S -m emonoise.cli ARGS``: with no site-packages on the path, numpy cannot load."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(Path(emonoise.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-S", "-m", "emonoise.cli", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+class TestStagesWithoutNumpy:
+    def test_prepare_writes_the_in_process_manifest(self, tone_corpus, tmp_path):
+        clean_dir, _ = tone_corpus
+        done = run_without_site_packages("prepare", "--clean-dir", str(clean_dir),
+                                         "--work-dir", str(tmp_path / "cli"), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        pipeline.prepare(RunConfig(clean_dir=str(clean_dir), work_dir=str(tmp_path / "lib")))
+        written = (tmp_path / "cli" / "manifest.csv").read_bytes()
+        assert written == (tmp_path / "lib" / "manifest.csv").read_bytes()
+
+    def test_help_exits_zero(self, tmp_path):
+        done = run_without_site_packages("--help", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "prepare" in done.stdout
+
+    def test_missing_config_file_exits_two(self, tmp_path):
+        done = run_without_site_packages("prepare", "--config", str(tmp_path / "absent.ini"),
+                                         cwd=tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert "cannot read config file" in done.stderr

@@ -19,25 +19,28 @@ from emonoise.dbn import Dbn, TrainConfig, fit_standardization, forward, load_mo
 from emonoise.dsp import MfccConfig, SegmentConfig, mfcc
 from _oracles import reference_condition_segments, reference_evaluate, reference_forward
 from conftest import EMOTION_LETTERS, build_tone_corpus, tone_utterance
-from emonoise.pipeline import (
-    EvalReport,
+from emonoise.manifest import (
     Label,
     ManifestEntry,
-    accuracy_delta,
-    band,
     build_manifest,
     emodb_label_rule,
     emodb_speaker_rule,
+    manifest_path,
+    prepare,
+    read_manifest,
+    split,
+    write_manifest,
+)
+from emonoise.pipeline import (
+    EvalReport,
+    accuracy_delta,
+    band,
     evaluate,
     evaluate_experiment,
     majority_vote,
-    prepare,
-    read_manifest,
     read_report,
     run_experiment,
-    split,
     train_model,
-    write_manifest,
     write_report,
 )
 
@@ -515,7 +518,7 @@ def learned_run(tone_corpus, tmp_path_factory):
                           learning_rate_finetune=0.1),
     )
     model = load_model(train_model(config))
-    entries = [e for e in read_manifest(pipeline.manifest_path(config)) if e.split == "test"]
+    entries = [e for e in read_manifest(manifest_path(config)) if e.split == "test"]
     return config, model, entries, {"white": pipeline.load_noise(config, "white")}
 
 
@@ -565,7 +568,7 @@ class TestTwoPhaseEvaluate:
             train=TrainConfig(epochs_pretrain=0, epochs_finetune=0),
         )
         train_model(config)
-        tests = [e.path for e in read_manifest(pipeline.manifest_path(config))
+        tests = [e.path for e in read_manifest(manifest_path(config))
                  if e.split == "test"]
         get, put = openblas_threads()
         before = get()
