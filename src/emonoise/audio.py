@@ -9,7 +9,7 @@ reduced to channel 0 on read.
 from __future__ import annotations
 
 import math
-import struct
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,47 +55,29 @@ class AudioClip:
 def read_wav(path) -> AudioClip:
     """Read a PCM 16-bit RIFF/WAVE file into an AudioClip.
 
-    Samples are scaled by 1/32768 into [-1, 1). Unknown chunks are skipped;
-    multi-channel data keeps channel 0 only.
+    The standard library's ``wave`` walks the chunks and skips unknown ones;
+    a width other than 2 bytes, a 0 Hz rate and a short data chunk are
+    refused here. Every refusal is a WavFormatError naming the path. A
+    WAVE_FORMAT_EXTENSIBLE header with the PCM subformat reads as a plain one
+    on Python 3.12 and later and is refused on 3.10 and 3.11. Samples are
+    scaled by 1/32768 into [-1, 1); multi-channel data keeps channel 0 only.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
-
-    n_channels = sample_rate = None
-    pos = 12
-    while pos + 8 <= len(blob):
-        chunk_id = blob[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = pos + 8
-        if chunk_id == b"fmt ":
-            if chunk_size < 16 or body + 16 > len(blob):
-                raise WavFormatError(f"{path}: truncated fmt chunk")
-            fmt_code, n_channels, sample_rate, _, _, bits = struct.unpack_from(
-                "<HHIIHH", blob, body
-            )
-            if fmt_code != 1:
-                raise WavFormatError(
-                    f"{path}: unsupported encoding (format code {fmt_code}, want PCM)"
-                )
-            if bits != 16:
-                raise WavFormatError(f"{path}: unsupported sample width ({bits}-bit, want 16)")
-            if n_channels < 1:
-                raise WavFormatError(f"{path}: fmt chunk declares zero channels")
+    try:
+        with open(path, "rb") as fh, wave.open(fh) as reader:
+            width, n_channels = reader.getsampwidth(), reader.getnchannels()
+            sample_rate, n_frames = reader.getframerate(), reader.getnframes()
+            if width != 2:
+                raise WavFormatError(f"{path}: unsupported sample width ({8 * width}-bit, want 16)")
             if sample_rate < 1:
                 raise WavFormatError(f"{path}: fmt chunk declares a 0 Hz sample rate")
-        elif chunk_id == b"data":
-            if n_channels is None:
-                raise WavFormatError(f"{path}: data chunk appears before fmt chunk")
-            if body + chunk_size > len(blob):
-                raise WavFormatError(f"{path}: truncated data chunk")
-            raw = np.frombuffer(blob, dtype="<i2", count=chunk_size // 2, offset=body)
-            frames = raw[: (raw.size // n_channels) * n_channels]
-            mono = frames[::n_channels] if n_channels > 1 else frames
-            return AudioClip(mono.astype(np.float64) / FULL_SCALE, sample_rate)
-        pos = body + chunk_size + (chunk_size & 1)
-    raise WavFormatError(f"{path}: missing data chunk")
+            raw = reader.readframes(n_frames)
+    except wave.Error as exc:
+        raise WavFormatError(f"{path}: {exc}") from exc
+    except EOFError as exc:
+        raise WavFormatError(f"{path}: truncated header") from exc
+    if len(raw) != n_frames * n_channels * 2:
+        raise WavFormatError(f"{path}: truncated data chunk")
+    return AudioClip(np.frombuffer(raw, dtype=np.int16)[::n_channels] / FULL_SCALE, sample_rate)
 
 
 def write_wav(clip: AudioClip, path) -> None:
@@ -108,24 +90,11 @@ def write_wav(clip: AudioClip, path) -> None:
     """
     clamped = np.clip(clip.samples, -1.0, 1.0) * FULL_SCALE
     quantized = np.where(clamped >= 0.0, np.floor(clamped + 0.5), np.ceil(clamped - 0.5))
-    payload = np.clip(quantized, -32768, 32767).astype("<i2").tobytes()
-
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate_hz, clip.sample_rate_hz * 2, 2, 16),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        if len(payload) & 1:  # RIFF pads chunks to an even size; unreachable for 16-bit
-            fh.write(b"\x00")
+    with open(path, "wb") as fh, wave.open(fh, "wb") as writer:
+        writer.setnchannels(1)
+        writer.setsampwidth(2)
+        writer.setframerate(clip.sample_rate_hz)
+        writer.writeframes(np.clip(quantized, -32768, 32767).astype(np.int16).tobytes())
 
 
 def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:

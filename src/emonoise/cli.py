@@ -33,6 +33,15 @@ stage starts where a warm process already is. Both are set because setting
 either one switches glibc's dynamic adjustment off. Only ``main`` does
 this, on Linux where libc has ``mallopt``; a program that imports the
 library keeps its own allocator. No output byte depends on it.
+
+``main`` sets them before anything else because they also make numpy's own
+import cheaper: in a fresh process on a 2-core VM, ``import numpy`` took a
+median of 48.5 ms after ``_keep_freed_heap()`` against 57.2 ms under glibc's
+defaults (31 interleaved runs each; lower in 30 of 31 pairs), and a library
+import, as in the tests or perfbench's output checks, still pays the higher
+figure. The cause is unverified: TLB-shootdown interrupts sent to
+OpenBLAS's spinning worker on each ``munmap`` were suspected, but with the
+default thresholds ``OPENBLAS_THREAD_TIMEOUT=4`` left it at 56.4 ms.
 """
 
 from __future__ import annotations

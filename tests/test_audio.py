@@ -1,4 +1,6 @@
+import re
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,27 +21,50 @@ from emonoise.audio import (
 from _oracles import reference_noise_window, reference_resample
 
 
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+KSDATAFORMAT_SUBTYPE_PCM = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def make_wav_bytes(samples_int16, sample_rate=16000, n_channels=1, fmt_code=1, bits=16,
                    extra_chunk=None):
     payload = struct.pack(f"<{len(samples_int16)}h", *samples_int16)
-    chunks = b""
-    if extra_chunk is not None:
-        chunks += extra_chunk
-    chunks += (
-        b"fmt "
-        + struct.pack("<I", 16)
-        + struct.pack(
-            "<HHIIHH",
-            fmt_code,
-            n_channels,
-            sample_rate,
-            sample_rate * n_channels * bits // 8,
-            n_channels * bits // 8,
-            bits,
-        )
+    fmt = struct.pack(
+        "<HHIIHH",
+        fmt_code,
+        n_channels,
+        sample_rate,
+        sample_rate * n_channels * bits // 8,
+        n_channels * bits // 8,
+        bits,
     )
+    if fmt_code == WAVE_FORMAT_EXTENSIBLE:
+        # cbSize, valid bits, channel mask (front centre), then the subformat GUID
+        fmt += struct.pack("<HHI", 22, bits, 4) + KSDATAFORMAT_SUBTYPE_PCM
+    chunks = b"" if extra_chunk is None else extra_chunk
+    chunks += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     chunks += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+    return riff(chunks)
+
+
+_BLOB = make_wav_bytes([1, 2, 3, 4])
+_FMT, _DATA = _BLOB[12:36], _BLOB[36:]
+MALFORMED_WAVS = {
+    "not-riff": b"JUNK" + _BLOB[4:],
+    "empty-file": b"",
+    "not-pcm": make_wav_bytes([0, 1], fmt_code=3),
+    "8-bit": make_wav_bytes([0, 1], bits=8),
+    "zero-channels": make_wav_bytes([0, 1], n_channels=0),
+    "0-hz": make_wav_bytes([0, 1], sample_rate=0),
+    "truncated-fmt": riff(b"fmt " + struct.pack("<I", 14) + _FMT[8:22], _DATA),
+    "data-before-fmt": riff(_DATA, _FMT),
+    "missing-data": riff(_FMT),
+    "truncated-data": _BLOB[:-4],
+}
 
 
 class TestReadWav:
@@ -64,7 +89,7 @@ class TestReadWav:
     def test_non_pcm_rejected(self, tmp_path):
         path = tmp_path / "float.wav"
         path.write_bytes(make_wav_bytes([0, 1], fmt_code=3))
-        with pytest.raises(WavFormatError, match="encoding"):
+        with pytest.raises(WavFormatError, match="unknown format: 3"):
             read_wav(path)
 
     def test_wrong_width_rejected(self, tmp_path):
@@ -99,8 +124,43 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="truncated"):
             read_wav(path)
 
+    @pytest.mark.parametrize("case", list(MALFORMED_WAVS))
+    def test_every_refusal_names_the_path(self, tmp_path, case):
+        path = tmp_path / f"{case}.wav"
+        path.write_bytes(MALFORMED_WAVS[case])
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: "):
+            read_wav(path)
+
+    def test_extensible_pcm_header(self, tmp_path):
+        # the standard library's wave reads format 0xFFFE from Python 3.12 on
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+        plain.write_bytes(make_wav_bytes([5, -7, 32767, -32768]))
+        extensible.write_bytes(make_wav_bytes([5, -7, 32767, -32768], fmt_code=WAVE_FORMAT_EXTENSIBLE))
+        if sys.version_info >= (3, 12):
+            clip = read_wav(extensible)
+            assert clip.sample_rate_hz == 16000
+            np.testing.assert_array_equal(clip.samples, read_wav(plain).samples)
+        else:
+            with pytest.raises(WavFormatError, match=f"^{re.escape(str(extensible))}: "):
+                read_wav(extensible)
+
 
 class TestWriteWav:
+    @pytest.mark.parametrize("samples,codes", [
+        ([], []),
+        ([0.5, -0.25, 1.0, -1.0, 0.3], [16384, -8192, 32767, -32768, 9830]),
+    ])
+    def test_canonical_header_then_payload(self, tmp_path, samples, codes):
+        path = tmp_path / "h.wav"
+        write_wav(AudioClip(np.array(samples, dtype=np.float64), 22050), path)
+        payload = struct.pack(f"<{len(codes)}h", *codes)
+        header = (
+            b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 22050, 2 * 22050, 2, 16)
+            + b"data" + struct.pack("<I", len(payload))
+        )
+        assert path.read_bytes() == header + payload
+
     def test_zero_clip_writes_zero_codes(self, tmp_path):
         path = tmp_path / "z.wav"
         write_wav(AudioClip(np.zeros(8), 16000), path)
