@@ -8,13 +8,12 @@ before training or scoring.
 The reference protocol trains on clean speech only, evaluates the clean
 baseline plus every configured noise category x SNR on the test split, and
 reports the clean-vs-noisy accuracy difference per condition. Evaluation
-runs in two phases. It first featurizes the test split: each utterance is
-loaded and transformed once, under every condition, in a thread pool with
-as many workers as OpenBLAS has threads, with OpenBLAS pinned to one thread
-meanwhile (``evaluate`` says why). It then stacks every segment vector into
-one matrix and classifies it in slices of ``_SCORE_BLOCK_ROWS`` rows, with
-OpenBLAS's threads back. Utterance labels come from majority vote over
-segment predictions; segment-level accuracy is reported alongside.
+runs on one thread pool with as many workers as OpenBLAS has threads, with
+OpenBLAS pinned to one thread throughout (``evaluate`` says why). The pool
+first featurizes the test split: each utterance is loaded and transformed
+once, under every condition. It then classifies the stacked segment vectors
+in slices of ``_SCORE_BLOCK_ROWS`` rows. Utterance labels come from majority
+vote over segment predictions; segment-level accuracy is reported alongside.
 
 The stages hand over files in the work directory, which only prepare
 creates: manifest.csv, model.dbn with its model.key and report.csv, each
@@ -67,9 +66,9 @@ REPORT_COLUMNS = (
 
 CLEAN_CONDITION = "clean"
 
-# rows of evaluate's stacked segment matrix per forward call: at paper width
-# a few hundred rows run the GEMMs near their full rate, and the activations
-# of one slice stay small
+# rows of evaluate's stacked segment matrix per forward call on a pool
+# thread: at paper width a few hundred rows run the GEMMs near their full
+# rate, and the activations of the slices in flight stay small
 _SCORE_BLOCK_ROWS = 512
 
 
@@ -204,64 +203,54 @@ def _blas_pinned():
         put(n_threads)
 
 
-def _featurize(config: RunConfig, entries, noises, snrs_db) -> list[np.ndarray]:
-    """``_condition_segments`` of every entry, in entry order, on as many threads as OpenBLAS has.
-
-    The entries go through a thread pool of that many workers while the
-    calling thread waits. The first failure in entry order is raised; the
-    pool then cancels the entries not yet started and waits for the running
-    ones before OpenBLAS's thread count is restored.
-    """
-    with _blas_pinned() as n_threads, ThreadPoolExecutor(n_threads) as pool:
-        return list(pool.map(
-            lambda e: _condition_segments(config, _load_utterance(config, e.path),
-                                          Path(e.path).name, noises, snrs_db),
-            entries))
-
-
 def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
-    """Score a test split under clean and every noise condition, in two phases.
+    """Score a test split under clean and every noise condition.
 
     ``noises`` maps each category to its clip at the pipeline rate. Reports
     come clean first, then each category in ``noises`` order at every SNR in
     ascending order; each delta is taken against the clean accuracy.
 
-    Phase 1 featurizes (``_featurize``). Each utterance is loaded once and
-    framed and transformed once (spectra S_clean). ``mix_at_snr`` then
-    mixes each category in at the lowest SNR s0 only, and that mixture is
-    transformed too: D = S_mix - S_clean is the spectrum of the gain-scaled
-    noise window, because pre-emphasis, the window and the DFT are linear.
-    The gain at SNR s is r = 10^((s0 - s)/20) times the gain at s0, so that
-    mixture's spectra are S_clean + r*D and its mel energies E_clean +
-    2r*E_cross + r^2*E_diff (``dsp.mel_energies``): exact up to float
-    rounding, with no further FFT. Because s0 is the lowest SNR, r <= 1, so
-    the rounding error D carries is scaled down, never up; the features
-    agree with per-SNR time-domain mixtures to about 1e-13.
+    Each utterance is loaded once and framed and transformed once (spectra
+    S_clean). ``mix_at_snr`` then mixes each category in at the lowest SNR
+    s0 only, and that mixture is transformed too: D = S_mix - S_clean is the
+    spectrum of the gain-scaled noise window, because pre-emphasis, the
+    window and the DFT are linear. The gain at SNR s is r = 10^((s0 - s)/20)
+    times the gain at s0, so that mixture's spectra are S_clean + r*D and
+    its mel energies E_clean + 2r*E_cross + r^2*E_diff
+    (``dsp.mel_energies``): exact up to float rounding, with no further FFT.
+    Because s0 is the lowest SNR, r <= 1, so the rounding error D carries is
+    scaled down, never up; the features agree with per-SNR time-domain
+    mixtures to about 1e-13.
 
-    The utterances are featurized on as many threads as OpenBLAS has, and
-    OpenBLAS is pinned to one thread while they run. Its worker threads
-    spin for a while after each call, waiting for the next; left at two
-    threads on two cores, that worker and the two featurizing threads
-    would share two cores, and each of the front end's small mel and DCT
-    products would wait for a time slice. Pinned, every product runs in the
-    thread that calls it.
-
-    Phase 2 classifies, with OpenBLAS's threads restored. The condition-major
-    segment rows of every utterance are stacked into one matrix, which
-    ``forward`` classifies in slices of ``_SCORE_BLOCK_ROWS`` rows; each
-    utterance's segment hits and majority votes are tallied from its own
-    slice of the predictions. The reports do not depend on the number of
-    threads or the slice size.
+    The work runs on a thread pool with as many workers as OpenBLAS has
+    threads while the calling thread waits, and OpenBLAS is pinned to one
+    thread until the pool is done. Its worker threads spin for a while after
+    each call, waiting for the next; left at two threads on two cores, that
+    worker and the two pool threads would share two cores, and each of the
+    front end's small mel and DCT products would wait for a time slice.
+    Pinned, every product runs in the thread that calls it. The pool
+    featurizes the utterances, in entry order, and then classifies their
+    stacked condition-major segment rows in slices of ``_SCORE_BLOCK_ROWS``
+    rows, one ``forward`` call each; each utterance's segment hits and
+    majority votes are tallied from its own slice of the predictions. The
+    reports do not depend on the number of threads or the slice size. The
+    first failure in entry or slice order is raised; the pool cancels the
+    work not yet started and waits for the running work first.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate an empty test split")
     snrs_db = sorted(config.snrs_db)
     conditions = [(CLEAN_CONDITION, None)] + [(c, snr) for c in noises for snr in snrs_db]
-    features = _featurize(config, entries, noises, snrs_db)
-    rows = np.concatenate([segments.reshape(-1, segments.shape[-1]) for segments in features])
-    preds = np.concatenate([np.argmax(forward(model, rows[i : i + _SCORE_BLOCK_ROWS]), axis=-1)
-                            for i in range(0, len(rows), _SCORE_BLOCK_ROWS)])
+    with _blas_pinned() as n_threads, ThreadPoolExecutor(n_threads) as pool:
+        features = list(pool.map(
+            lambda e: _condition_segments(config, _load_utterance(config, e.path),
+                                          Path(e.path).name, noises, snrs_db),
+            entries))
+        rows = np.concatenate([segments.reshape(-1, segments.shape[-1]) for segments in features])
+        preds = np.concatenate(list(pool.map(
+            lambda i: np.argmax(forward(model, rows[i : i + _SCORE_BLOCK_ROWS]), axis=-1),
+            range(0, len(rows), _SCORE_BLOCK_ROWS))))
     confusions = np.zeros((len(conditions), N_LABELS, N_LABELS), dtype=np.int64)
     seg_hits = np.zeros(len(conditions), dtype=np.int64)
     seg_total = len(rows) // len(conditions)  # the same for every condition

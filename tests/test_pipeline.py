@@ -6,6 +6,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,7 +447,7 @@ class TestSpectralMixing:
         # one time-domain mixture per category and 1 + K FFT passes per
         # utterance, whatever the number of SNRs, and one forward call per
         # slice of _SCORE_BLOCK_ROWS rows: the three short utterances' 63 rows make one
-        calls = []  # appended to from every featurizing thread
+        calls = []  # appended to from every pool thread
         for name in ("forward", "mix_at_snr", "frame_spectra", "mfcc"):
             def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
                 calls.append(_name)
@@ -461,22 +462,20 @@ class TestSpectralMixing:
 
     def test_reports_do_not_depend_on_the_row_block(self, learned_run, monkeypatch):
         config, model, entries, noises = learned_run
-        sizes = [s[..., 0].size for s in
-                 pipeline._featurize(config, entries, noises, sorted(config.snrs_db))]
+        sizes = [s[..., 0].size for s in segments_of(config, entries, noises)]
         n_rows, ends = sum(sizes), set(np.cumsum(sizes).tolist())
-        calls = Counter()
+        calls = []  # rows of each forward call, appended to from every pool thread
 
         def scored(block_rows):
             monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", block_rows)
             calls.clear()
             reports = evaluate(model, entries, config, noises)
-            assert calls["forward"] == math.ceil(n_rows / block_rows)
-            assert calls["rows"] == n_rows
+            assert len(calls) == math.ceil(n_rows / block_rows)
+            assert sum(calls) == n_rows
             return reports
 
         def counted(model, rows, _real=pipeline.forward):
-            calls["forward"] += 1
-            calls["rows"] += len(rows)
+            calls.append(len(rows))
             return _real(model, rows)
 
         monkeypatch.setattr(pipeline, "forward", counted)
@@ -522,6 +521,13 @@ def learned_run(tone_corpus, tmp_path_factory):
     return config, model, entries, {"white": pipeline.load_noise(config, "white")}
 
 
+def segments_of(config, entries, noises):
+    """``_condition_segments`` of each entry, in entry order, computed on the calling thread."""
+    return [pipeline._condition_segments(config, pipeline._load_utterance(config, e.path),
+                                         Path(e.path).name, noises, sorted(config.snrs_db))
+            for e in entries]
+
+
 def openblas_threads():
     """(get, set) of OpenBLAS's thread count; skips the test where no OpenBLAS is found."""
     found = pipeline._openblas_threads()
@@ -531,7 +537,10 @@ def openblas_threads():
 
 
 class TestTwoPhaseEvaluate:
-    """evaluate featurizes on OpenBLAS's thread count, with OpenBLAS pinned to one."""
+    """evaluate featurizes and classifies on one pool as large as OpenBLAS's thread count.
+
+    OpenBLAS is pinned to one thread while the pool runs.
+    """
 
     def test_report_bytes_do_not_depend_on_the_blas_threads(self, learned_run, monkeypatch):
         config = learned_run[0]
@@ -595,14 +604,22 @@ class TestTwoPhaseEvaluate:
         # four threads, switching as often as the interpreter allows: a lost
         # claim would skip an entry or featurize one twice
         calls = []
+        stacked = []  # the rows of each forward call
 
         def featurized(config, clip, name, noises, snrs_db):
             calls.append(name)
             time.sleep(0)  # lets another thread run, as numpy's transforms do
-            return name
+            return np.full((1, 1, 13), float(name[:4]))  # one row that holds the entry index
+
+        def classified(model, rows):
+            stacked.append(rows[:, 0].copy())
+            return np.full((len(rows), 7), 1 / 7)
 
         monkeypatch.setattr(pipeline, "_load_utterance", lambda config, path: path)
         monkeypatch.setattr(pipeline, "_condition_segments", featurized)
+        monkeypatch.setattr(pipeline, "forward", classified)
+        # one forward call, so it sees the rows as stacked
+        monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", 10**9)
         entries = [ManifestEntry(f"{k:04d}a01Wa.wav", Label.ANGER, "01", "test")
                    for k in range(2000)]
         get, put = openblas_threads()
@@ -610,12 +627,13 @@ class TestTwoPhaseEvaluate:
         try:
             put(4)
             sys.setswitchinterval(1e-6)
-            got = pipeline._featurize(RunConfig(), entries, {}, [0.0])
+            evaluate(None, entries, RunConfig(), {})
         finally:
             sys.setswitchinterval(interval)
             put(before)
-        assert got == [e.path for e in entries]
-        assert sorted(calls) == got
+        assert len(stacked) == 1
+        np.testing.assert_array_equal(stacked[0], np.arange(len(entries)))  # entry order
+        assert sorted(calls) == [e.path for e in entries]
 
     def test_first_failure_in_entry_order_is_raised(self, monkeypatch):
         # entry 1 fails only after entry 3 has failed; the error must still
@@ -629,7 +647,7 @@ class TestTwoPhaseEvaluate:
             if name == "0003a01Wa.wav":
                 later_failed.set()
                 raise ValueError(name)
-            return name
+            return np.zeros((1, 1, 13))
 
         @contextlib.contextmanager
         def two_threads():
@@ -642,13 +660,60 @@ class TestTwoPhaseEvaluate:
                    for k in range(6)]
         active = threading.active_count()
         with pytest.raises(ValueError, match="^0001a01Wa.wav$"):
-            pipeline._featurize(RunConfig(), entries, {}, [0.0])
+            evaluate(constant_predictor(Label.ANGER), entries, RunConfig(), {})
         assert later_failed.is_set()
         assert threading.active_count() == active
 
+    def test_classification_runs_on_pool_threads_with_blas_pinned(self, learned_run, monkeypatch):
+        config, model, entries, noises = learned_run
+        get, put = openblas_threads()
+        seen = []  # (OpenBLAS threads, thread ident) inside each forward call
+
+        def classified(model, rows, _real=pipeline.forward):
+            seen.append((get(), threading.get_ident()))
+            return _real(model, rows)
+
+        monkeypatch.setattr(pipeline, "forward", classified)
+        monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", 7)  # many slices in flight
+        # the second model's input width does not match, so forward raises on a pool thread
+        runs = [(model, contextlib.nullcontext()),
+                (constant_predictor(Label.ANGER, n_in=5),
+                 pytest.raises(ValueError, match="input rows have 13 entries, want 5"))]
+        before, active = get(), threading.active_count()
+        try:
+            put(2)
+            had = get()  # OpenBLAS may cap the count it is set to
+            for scored_by, outcome in runs:
+                seen.clear()
+                with outcome:
+                    evaluate(scored_by, entries, config, noises)
+                assert seen and {n for n, _ in seen} == {1}
+                assert threading.get_ident() not in {t for _, t in seen}  # the calling thread waits
+                assert get() == had
+                assert threading.active_count() == active
+        finally:
+            put(before)
+
+    def test_reports_do_not_depend_on_the_scoring_workers(self, learned_run, monkeypatch):
+        config, model, entries, noises = learned_run
+        pinned = pipeline._blas_pinned
+        monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", 7)  # many slices in flight
+        reports = []
+        for n_workers in (1, 2):
+            @contextlib.contextmanager
+            def workers(n_workers=n_workers):
+                with pinned():
+                    yield n_workers
+
+            monkeypatch.setattr(pipeline, "_blas_pinned", workers)
+            reports.append(evaluate(model, entries, config, noises))
+        for a, b in zip(*reports, strict=True):
+            np.testing.assert_array_equal(a.confusion, b.confusion)
+            assert replace(a, confusion=None) == replace(b, confusion=None)
+
     def test_float32_forward_matches_a_float64_reference(self, learned_run):
         config, model, entries, noises = learned_run
-        segments = pipeline._featurize(config, entries, noises, sorted(config.snrs_db))
+        segments = segments_of(config, entries, noises)
         rows = np.concatenate([s.reshape(-1, s.shape[-1]) for s in segments])
         got, want = forward(model, rows), reference_forward(model, rows)
         assert got.dtype == np.float64
