@@ -1,4 +1,4 @@
-"""WAV audio I/O, resampling, and SNR-controlled noise mixing.
+"""WAV audio reading, resampling, and SNR-controlled noise mixing.
 
 Clips are immutable values and every operation returns a new clip, so
 everything here is safe to share read-only across concurrent workers.
@@ -80,23 +80,6 @@ def read_wav(path) -> AudioClip:
     return AudioClip(np.frombuffer(raw, dtype=np.int16)[::n_channels] / FULL_SCALE, sample_rate)
 
 
-def write_wav(clip: AudioClip, path) -> None:
-    """Write a clip as PCM 16-bit mono little-endian WAV.
-
-    Samples are clamped to [-1, 1] and quantized with round-half-away-from-
-    zero at full scale 32768 (the +1.0 code saturates to 32767), which keeps
-    read_wav(write_wav(clip)) within one quantization step and makes a second
-    round trip bit-exact.
-    """
-    clamped = np.clip(clip.samples, -1.0, 1.0) * FULL_SCALE
-    quantized = np.where(clamped >= 0.0, np.floor(clamped + 0.5), np.ceil(clamped - 0.5))
-    with open(path, "wb") as fh, wave.open(fh, "wb") as writer:
-        writer.setnchannels(1)
-        writer.setsampwidth(2)
-        writer.setframerate(clip.sample_rate_hz)
-        writer.writeframes(np.clip(quantized, -32768, 32767).astype(np.int16).tobytes())
-
-
 def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     """Band-limited polyphase resampling with a Hann-windowed sinc kernel.
 
@@ -167,19 +150,16 @@ def rms(samples) -> float:
 
 
 def noise_window(noise: AudioClip, length: int, offset: int) -> np.ndarray:
-    """A new array of the ``length`` noise samples from ``offset`` on, looping if short.
+    """A new array of the ``length`` >= 0 noise samples from ``offset`` on, looping if short.
 
-    Sample i is ``noise.samples[(offset + i) % len(noise)]``. The window is
+    Sample i is ``noise.samples[(offset + i) % len(noise)]``, for any integer
+    ``offset``, negative ones included (Python's ``%``). The window is
     one slice copy when it does not wrap, and otherwise the noise's tail
     from ``offset % len(noise)``, any whole repeats and its head, joined.
     """
     n = len(noise)
     if n == 0:
         raise ValueError("noise recording is empty")
-    if offset < 0:
-        raise ValueError("noise offset must be nonnegative")
-    if length < 0:
-        raise ValueError("noise window length must be nonnegative")
     samples = noise.samples
     start = offset % n
     if start + length <= n:
@@ -192,8 +172,8 @@ def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float,
                noise_offset: int = 0) -> AudioClip:
     """Add a gain-adjusted noise window to the clean clip at an exact SNR.
 
-    The window is the ``len(clean)`` noise samples starting at the
-    nonnegative ``noise_offset``, wrapping around if the noise is shorter.
+    The window is the ``len(clean)`` noise samples starting at
+    ``noise_offset``, wrapping around if the noise is shorter (``noise_window``).
     The gain g = rms(clean) / (rms(window) * 10^(snr_db/20)) makes
     20*log10(rms(clean)/rms(g*window)) equal the finite ``snr_db`` up to
     float rounding. Output has the clean clip's length and rate.

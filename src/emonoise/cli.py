@@ -52,7 +52,7 @@ import os
 import sys
 
 from . import manifest
-from .config import DELTA_MODES, SPLIT_STRATEGIES, ConfigError, RunConfig, apply_settings, load_config
+from .config import DELTA_MODES, SPLIT_STRATEGIES, RunConfig, apply_settings, load_config
 
 _STAGES = {
     "prepare": "build the corpus manifest and train/test split",
@@ -127,7 +127,7 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, RunConfig]:
         config = _apply_overrides(config, args)
     except OSError as exc:
         parser.error(f"cannot read config file {exc.filename}: {exc.strerror}")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         parser.error(str(exc))
     return args, config
 

@@ -115,11 +115,12 @@ class Dbn:
 
     ``rbms`` lists the layers, input side first, as ``Layer``s; each was
     pretrained as an RBM. ``input_mean``/``input_std`` hold the
-    per-dimension z-score parameters fitted on training features. Arrays
-    of another dtype are cast; float32 ones are taken over as they are, so
-    ``fine_tune`` trains the model's own arrays. The layers, the head and
-    the standardization must be finite and every ``input_std`` entry
-    positive, so a model can never score every input as NaN.
+    per-dimension z-score parameters fitted on training features. The
+    layers and the head must be float32 arrays and are taken over as they
+    are, so ``fine_tune`` trains the model's own arrays; the
+    standardization is cast to float64. The layers, the head and the
+    standardization must be finite and every ``input_std`` entry positive,
+    so a model can never score every input as NaN.
     """
 
     rbms: list[Layer]
@@ -129,11 +130,8 @@ class Dbn:
     input_std: np.ndarray
 
     def __post_init__(self) -> None:
-        f32 = np.float32
         if not self.rbms:
             raise ValueError("a Dbn needs at least one layer")
-        self.rbms = [Layer(np.asarray(w, dtype=f32), np.asarray(c, dtype=f32))
-                     for w, c in self.rbms]
         for i, (w, c) in enumerate(self.rbms):
             if w.ndim != 2 or c.shape != (w.shape[1],):
                 raise ValueError(f"layer {i} has inconsistent parameter shapes")
@@ -141,8 +139,6 @@ class Dbn:
                 raise ValueError("adjacent layer sizes do not chain")
             if not (np.isfinite(w).all() and np.isfinite(c).all()):
                 raise ValueError(f"layer {i} parameters must be finite")
-        self.softmax_weights = np.asarray(self.softmax_weights, dtype=f32)
-        self.softmax_bias = np.asarray(self.softmax_bias, dtype=f32)
         top = self.rbms[-1].weights.shape[1]
         if self.softmax_weights.shape != (top, self.softmax_bias.shape[0]):
             raise ValueError("softmax head does not match the top layer")
@@ -174,19 +170,19 @@ class RbmState:
     for the scaled CD statistic (reused as the weight-decay scratch) and the
     two stacks that statistic is one GEMM over, all float32, so a warm
     training step allocates no weight-sized array. The stacks start empty
-    and grow to twice the largest batch seen. A float32 parameter array is
-    taken over as it is, so the state trains it in place; any other is cast
-    into a new one. ``train_rbm`` sets the momentum, gradient and stack
-    buffers to None once its epochs are done: only the parameters live on.
-    The next layer's activations are built from them, and the weights and
-    hidden bias become a ``Layer`` of the model ``pretrain_dbn`` returns.
+    and grow to twice the largest batch seen. The float32 parameter arrays
+    are taken over as they are, so the state trains them in place.
+    ``train_rbm`` sets the momentum, gradient and stack buffers to None
+    once its epochs are done: only the parameters live on. The next layer's
+    activations are built from them, and the weights and hidden bias become
+    a ``Layer`` of the model ``pretrain_dbn`` returns.
     """
 
     def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
         self.visible_kind = visible_kind
-        self.weights = np.asarray(weights, dtype=np.float32)
-        self.visible_bias = np.asarray(visible_bias, dtype=np.float32)
-        self.hidden_bias = np.asarray(hidden_bias, dtype=np.float32)
+        self.weights = weights
+        self.visible_bias = visible_bias
+        self.hidden_bias = hidden_bias
         self.velocity_weights = np.zeros_like(self.weights)
         self.velocity_visible_bias = np.zeros_like(self.visible_bias)
         self.velocity_hidden_bias = np.zeros_like(self.hidden_bias)
@@ -254,10 +250,6 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     between v0 and the first reconstruction.
     """
     v0 = np.atleast_2d(np.asarray(batch, dtype=state.weights.dtype))
-    if v0.shape[0] == 0:
-        raise ValueError("cd_update needs a nonempty batch")
-    if v0.shape[1] != state.n_visible:
-        raise ValueError(f"batch rows have {v0.shape[1]} entries, want {state.n_visible}")
     n = v0.shape[0]
     lr = (
         cfg.learning_rate_pretrain_gaussian
@@ -350,8 +342,6 @@ def fit_standardization(train_features):
     z-scoring maps them to exactly 0.
     """
     x = np.asarray(train_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("standardization needs a nonempty 2-D feature array")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     flat = std == 0.0
@@ -382,11 +372,7 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     these arrays in place.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("pretraining data must be a nonempty 2-D array")
     sizes = [data.shape[1], *hidden_sizes]
-    if len(sizes) < 2:
-        raise ValueError("hidden_sizes needs at least one hidden size")
     mean, std = fit_standardization(data)
 
     rng = np.random.default_rng(seed)
@@ -503,13 +489,6 @@ def fine_tune(model: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     """
     x = np.asarray(data, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
-    n_labels = model.n_labels
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("fine-tuning data must be a nonempty 2-D array")
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must align one-to-one with data rows")
-    if y.min() < 0 or y.max() >= n_labels:
-        raise ValueError(f"labels must lie in [0, {n_labels - 1}]")
 
     f32 = np.float32
     layers = model.rbms
@@ -565,9 +544,10 @@ def load_model(path) -> Dbn:
     Each array is read from the file straight into its own buffer, so the
     model is held once, not also as the file's bytes. Every length the file
     declares is checked against the file's size before its array is
-    allocated: a truncated or corrupt file raises ModelFormatError. So does
-    a file of another format version, such as the float64 DBN1 files of
-    earlier versions; the train stage writes a new one.
+    allocated: a truncated or corrupt file raises ModelFormatError. So do
+    a label count other than N_LABELS and a file of another format version,
+    such as the float64 DBN1 files of earlier versions; the train stage
+    writes a new one.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -581,8 +561,8 @@ def load_model(path) -> Dbn:
         if len(header) < 12:
             raise ModelFormatError(f"{path}: truncated model header")
         n_layers, n_labels = struct.unpack_from("<II", header, 4)
-        if not (n_layers and n_labels):
-            raise ModelFormatError(f"{path}: model has no layers or no labels")
+        if not n_layers or n_labels != N_LABELS:
+            raise ModelFormatError(f"{path}: model has no layers or not {N_LABELS} labels")
 
         def read(count: int, dtype: str) -> np.ndarray:
             out_type = np.dtype(dtype)

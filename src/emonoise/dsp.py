@@ -37,10 +37,9 @@ def frame_signal(samples, frame_len: int, hop: int) -> np.ndarray:
     frames overlap in memory and nothing is copied, so a caller that wants
     to write copies first. The tail that does not fill a whole frame is
     dropped (no zero padding). Shorter-than-one-frame input yields zero
-    frames.
+    frames. ``frame_len`` and ``hop`` are at least 1, as ``MfccConfig``
+    requires.
     """
-    if frame_len < 1 or hop < 1:
-        raise ValueError("frame_len and hop must be at least 1")
     x = np.asarray(samples, dtype=np.float64)
     if x.size < frame_len:
         frames = np.empty((0, frame_len))
@@ -50,21 +49,13 @@ def frame_signal(samples, frame_len: int, hop: int) -> np.ndarray:
 
 
 def hz_to_mel(f):
-    """Mel scale: m = 2595 * log10(1 + f/700)."""
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be nonnegative")
-    out = 2595.0 * np.log10(1.0 + f / 700.0)
-    return float(out) if out.ndim == 0 else out
+    """Mel scale: m = 2595 * log10(1 + f/700), elementwise over nonnegative frequencies."""
+    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
 def mel_to_hz(m):
-    """Inverse mel scale: f = 700 * (10^(m/2595) - 1)."""
-    m = np.asarray(m, dtype=np.float64)
-    if np.any(m < 0):
-        raise ValueError("mel value must be nonnegative")
-    out = 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-    return float(out) if out.ndim == 0 else out
+    """Inverse mel scale: f = 700 * (10^(m/2595) - 1), elementwise over nonnegative mels."""
+    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -100,6 +91,7 @@ def mel_filterbank(cfg: MfccConfig, sample_rate_hz: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _dct2_matrix(n: int, n_out: int) -> np.ndarray:
+    """Read-only (n_out, n) orthonormal DCT-II basis: x @ M.T keeps the first n_out coefficients."""
     j = np.arange(n)
     k = np.arange(n_out)[:, None]
     basis = np.cos(np.pi * k * (2 * j + 1) / (2 * n))
@@ -108,15 +100,6 @@ def _dct2_matrix(n: int, n_out: int) -> np.ndarray:
     basis *= scale[:, None]
     basis.flags.writeable = False
     return basis
-
-
-def dct2(v, n_out: int) -> np.ndarray:
-    """Orthonormal DCT-II of the last axis, keeping the first n_out coefficients."""
-    x = np.asarray(v, dtype=np.float64)
-    n = x.shape[-1]
-    if not 1 <= n_out <= n:
-        raise ValueError(f"need 1 <= n_out <= {n}, got {n_out}")
-    return x @ _dct2_matrix(n, n_out).T
 
 
 def frame_spectra(samples, cfg: MfccConfig) -> np.ndarray:
@@ -161,11 +144,15 @@ def mel_energies(a, b, cfg: MfccConfig, sample_rate_hz: int) -> np.ndarray:
 
 
 def cepstra(energies, cfg: MfccConfig) -> np.ndarray:
-    """MFCC rows from mel energies: log with a floor, then the DCT-II over the last axis."""
-    return dct2(np.log(np.maximum(energies, cfg.log_floor)), cfg.n_ceps)
+    """MFCC rows from mel energies, shape (..., n_ceps).
+
+    The log with a floor, then the first ``n_ceps`` coefficients of the
+    orthonormal DCT-II over the last axis, which holds the ``n_mels`` bands.
+    """
+    return np.log(np.maximum(energies, cfg.log_floor)) @ _dct2_matrix(cfg.n_mels, cfg.n_ceps).T
 
 
-def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+def mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     """Per-frame MFCC rows for a clip, shape (n_frames, n_ceps).
 
     Raises ValueError when the clip is shorter than one frame.
@@ -174,7 +161,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     return cepstra(mel_energies(spectra, spectra, cfg, clip.sample_rate_hz), cfg)
 
 
-def segment_features(frames, scfg: SegmentConfig = SegmentConfig()) -> np.ndarray:
+def segment_features(frames, scfg: SegmentConfig) -> np.ndarray:
     """Average frame rows into segment-level vectors, shape (n_segments, n_ceps).
 
     Segment s covers rows [s*seg_hop, s*seg_hop + seg_frames); only fully

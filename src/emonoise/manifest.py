@@ -180,8 +180,7 @@ class _Pcg64:
         return order
 
 
-def split(manifest, strategy: str = "stratified_random", test_fraction: float = 0.2,
-          seed: int = 42):
+def split(manifest, strategy: str, test_fraction: float, seed: int):
     """Assign train/test tags; deterministic given the seed.
 
     stratified_random shuffles each label's utterances and sends the last
@@ -190,9 +189,9 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
     to test until the fraction is reached; it refuses a split that leaves
     a label with no training utterance. Both shuffle with ``_Pcg64(seed)``,
     one permutation per label in label order, or one of the sorted speakers.
+    ``strategy`` is one of these two and ``test_fraction`` lies in (0, 1),
+    as ``RunConfig`` requires.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
     if not manifest:
         raise ValueError("manifest is empty")
     rng = _Pcg64(seed)
@@ -216,7 +215,7 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
                     f"test_fraction {test_fraction} sends all of them to test"
                 )
             test_idx.update(members[i] for i in order[len(members) - n_test :])
-    elif strategy == "leave_speakers_out":
+    else:  # leave_speakers_out
         speakers = sorted({e.speaker for e in manifest})
         order = rng.permutation(len(speakers))
         target = test_fraction * len(manifest)
@@ -237,8 +236,6 @@ def split(manifest, strategy: str = "stratified_random", test_fraction: float = 
                 f"label {untrained[0].name.lower()} is spoken only by test speakers; "
                 "leave_speakers_out leaves it no training utterance"
             )
-    else:
-        raise ValueError(f"unknown split strategy {strategy!r}")
 
     return [
         replace(e, split="test" if i in test_idx else "train") for i, e in enumerate(manifest)

@@ -73,10 +73,8 @@ _SCORE_BLOCK_ROWS = 512
 
 
 def majority_vote(segment_labels) -> int:
-    """Most frequent label; ties resolve to the lowest label index."""
+    """Most frequent of a nonempty list of labels; ties resolve to the lowest label index."""
     votes = np.asarray(segment_labels, dtype=np.int64)
-    if votes.size == 0:
-        raise ValueError("majority_vote of an empty list is undefined")
     return int(np.argmax(np.bincount(votes, minlength=N_LABELS)))
 
 
@@ -88,9 +86,7 @@ def accuracy_delta(clean_acc: float, noisy_acc: float) -> float:
 
 
 def band(delta_percent: float) -> str:
-    """Bucket a delta into the report's observation bands."""
-    if not math.isfinite(delta_percent):
-        raise ValueError("delta must be finite")
+    """Bucket a finite delta into the report's observation bands."""
     if delta_percent < 0.0:
         return "improved"
     if delta_percent < 10.0:
@@ -204,7 +200,7 @@ def _blas_pinned():
 
 
 def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
-    """Score a test split under clean and every noise condition.
+    """Score a nonempty test split under clean and every noise condition.
 
     ``noises`` maps each category to its clip at the pipeline rate. Reports
     come clean first, then each category in ``noises`` order at every SNR in
@@ -238,8 +234,6 @@ def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]
     work not yet started and waits for the running work first.
     """
     entries = list(entries)
-    if not entries:
-        raise ValueError("cannot evaluate an empty test split")
     snrs_db = sorted(config.snrs_db)
     conditions = [(CLEAN_CONDITION, None)] + [(c, snr) for c in noises for snr in snrs_db]
     with _blas_pinned() as n_threads, ThreadPoolExecutor(n_threads) as pool:
@@ -386,16 +380,15 @@ def resolve_noise_categories(config: RunConfig) -> list[str]:
 def load_noise(config: RunConfig, category: str) -> AudioClip:
     """First WAV (sorted) of a category, channel 0, at the pipeline rate.
 
+    ``resolve_noise_categories`` has checked that the category holds one.
     A file with no samples at that rate is refused: no noise window can be
     cut from it.
     """
     folder = Path(config.noise_dir) / category
-    candidates = sorted(p for p in folder.iterdir() if p.suffix.lower() == ".wav")
-    if not candidates:
-        raise ValueError(f"noise category {category!r} contains no WAV files")
-    clip = _load_clip(config, str(candidates[0]))
+    first = min(p for p in folder.iterdir() if p.suffix.lower() == ".wav")
+    clip = _load_clip(config, str(first))
     if len(clip) == 0:
-        raise ValueError(f"noise file {candidates[0]} has no samples at "
+        raise ValueError(f"noise file {first} has no samples at "
                          f"{config.sample_rate_hz} Hz")
     return clip
 

@@ -1,11 +1,30 @@
+import wave
+
 import numpy as np
 import pytest
 
-from emonoise.audio import AudioClip, write_wav
+from emonoise.audio import FULL_SCALE, AudioClip
 from emonoise.manifest import Label
 
 # label index -> Berlin filename emotion letter
 EMOTION_LETTERS = "WLEAFNT"
+
+
+def write_wav(clip: AudioClip, path) -> None:
+    """Write a clip as PCM 16-bit mono little-endian WAV.
+
+    Samples are clamped to [-1, 1] and quantized with round-half-away-from-
+    zero at full scale 32768 (the +1.0 code saturates to 32767), which keeps
+    read_wav(write_wav(clip)) within one quantization step and makes a second
+    round trip bit-exact.
+    """
+    clamped = np.clip(clip.samples, -1.0, 1.0) * FULL_SCALE
+    quantized = np.where(clamped >= 0.0, np.floor(clamped + 0.5), np.ceil(clamped - 0.5))
+    with open(path, "wb") as fh, wave.open(fh, "wb") as writer:
+        writer.setnchannels(1)
+        writer.setsampwidth(2)
+        writer.setframerate(clip.sample_rate_hz)
+        writer.writeframes(np.clip(quantized, -32768, 32767).astype(np.int16).tobytes())
 
 
 def tone_utterance(label: int, rng: np.random.Generator, sample_rate=16000, duration=0.6,

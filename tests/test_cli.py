@@ -2,7 +2,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +10,13 @@ import pytest
 
 import emonoise
 from emonoise import cli, pipeline
-from emonoise.audio import AudioClip, write_wav
+from emonoise.audio import AudioClip
 from emonoise.cli import dispatch, main, parse_args
 from emonoise.config import _SCHEMA, RunConfig, load_config
 from emonoise.dbn import load_model, save_model
 from emonoise.manifest import read_manifest
 
-from conftest import build_tone_corpus
+from conftest import build_tone_corpus, write_wav
 
 
 class TestParseArgs:
@@ -132,7 +132,8 @@ class TestParseArgs:
         ("[dsp]\nfft_size = 500\n", "fft_size must be a power of two"),
         ("[dbn]\nlearning_rate_finetune = nan\n", "learning_rate_finetune must be finite"),
         ("[pipeline]\nseed = -1\n", "seed must be nonnegative"),
-    ], ids=["snrs_db", "noise_categories", "fft_size", "learning_rate_finetune", "seed"])
+        ("[dsp]\nhop = 0\n", "frame_len and hop must be at least 1"),
+    ], ids=["snrs_db", "noise_categories", "fft_size", "learning_rate_finetune", "seed", "hop"])
     def test_repeated_config_value_exits_two(self, tmp_path, text, repeated, capsys):
         # also a value a nested config refuses; either way the message names the file
         cfg_file = tmp_path / "twice.cfg"
@@ -263,6 +264,36 @@ class TestDispatch:
         assert err.startswith("error:") and "softmax head must be finite" in err
         assert not (work / "report.csv").exists()
 
+    def test_evaluate_with_nine_label_model_exits_one(self, tiny_run_args, capsys):
+        # a well-formed model file, next to a matching model.key, whose head scores
+        # 9 classes and predicts the last, which a 7x7 confusion matrix has no column for
+        extra, work = tiny_run_args
+        assert main(["train", *extra]) == 0
+        model = load_model(work / "model.dbn")
+        top = model.softmax_weights.shape[0]
+        save_model(replace(model, softmax_weights=np.zeros((top, 9), np.float32),
+                           softmax_bias=np.eye(9, dtype=np.float32)[8]), work / "model.dbn")
+        capsys.readouterr()
+        assert main(["evaluate", *extra]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {work / 'model.dbn'}: model has no layers or not 7 labels")
+        assert not (work / "report.csv").exists()
+
+    @pytest.mark.parametrize("stage, split, noise_file, message", [
+        ("train", "test", "ch01.wav", "manifest has no training utterances"),
+        ("evaluate", "train", "ch01.wav", "manifest has no test utterances"),
+        ("evaluate", "test", "notes.txt", "noise category 'hum' contains no WAV files"),
+    ], ids=["no_train_rows", "no_test_rows", "no_noise_wav"])
+    def test_unusable_input_exits_one(self, tmp_path, capsys, stage, split, noise_file, message):
+        # each refusal is raised before any WAV is read
+        (tmp_path / "manifest.csv").write_text(
+            f"path,label,speaker,split\nx.wav,anger,03,{split}\n")
+        (tmp_path / "noise" / "hum").mkdir(parents=True)
+        (tmp_path / "noise" / "hum" / noise_file).write_bytes(b"")
+        assert main([stage, "--work-dir", str(tmp_path),
+                     "--noise-dir", str(tmp_path / "noise")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
     @pytest.mark.parametrize("split, stage", [("train", "train"), ("test", "evaluate")])
     def test_short_utterance_error_names_its_wav(self, tmp_path, capsys, split, stage):
         clean_dir, noise_dir = build_tone_corpus(tmp_path / "corpus", n_speakers=2)
@@ -302,13 +333,13 @@ import resource, sys
 import numpy as np
 from emonoise import cli
 from emonoise.audio import AudioClip
-from emonoise.dsp import mfcc
+from emonoise.dsp import MfccConfig, mfcc
 if sys.argv[1] == "keep":
     cli._keep_freed_heap()
 rng = np.random.default_rng(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(40):
-    mfcc(AudioClip(0.1 * rng.standard_normal(32000), 16000))
+    mfcc(AudioClip(0.1 * rng.standard_normal(32000), 16000), MfccConfig())
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
