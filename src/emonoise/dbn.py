@@ -8,18 +8,20 @@ head and backpropagates mean cross-entropy.
 
 Callers pass raw feature vectors: pretrain_dbn fits the input z-score and
 stores it with the stack; fine_tune z-scores its rows once, before the
-first epoch, and forward those of every call. Every training routine is a
-pure function of its inputs and the seed it is given: repeated runs produce
-bit-identical parameters. A warm training step allocates no weight-sized
-array: a CD update is one GEMM over stacked, pre-scaled statistics and five
-passes over the weights, and fine-tuning's gradients come out already
-scaled by the learning rate, into buffers allocated once. Those passes, and
-every sigmoid, run over row blocks of about 256 KB (``_row_blocks``), so
-each block is read from memory once and passed over in cache; every
-element still sees the same operations in the same order. Products with a
+first epoch, and forward those of every call, all with one expression
+(``_standardized``: float64, then one cast to float32). Every training
+routine is a pure function of its inputs and the seed it is given:
+repeated runs produce bit-identical parameters. A warm training step
+allocates no weight-sized array: each weight matrix's momentum update runs
+inside OpenBLAS (``_blas``). The GEMM that forms its CD statistic or
+gradient writes it straight into its velocity, with the old velocity
+scaled by the momentum (GEMM's ``beta``), and axpy applies the weight
+decay and adds the velocity to the weights, on OpenBLAS's threads. No
+weight-sized gradient is ever held; the biases update in NumPy. Every
+sigmoid runs over row blocks of about 256 KB (``_row_blocks``), so each
+block is read from memory once and passed over in cache. Products with a
 transposed weight matrix are formed as (W @ X.T).T, which OpenBLAS runs
-faster than X @ W.T, to the same bits; the allocating reference tests,
-which keep X @ W.T, check that.
+faster than X @ W.T.
 
 The model is float32 from training to scoring: each weight matrix is
 drawn into one float32 array, and that array is trained, saved, loaded
@@ -28,14 +30,14 @@ and scored with. Only the input standardization is float64.
 - ``pretrain_dbn`` draws each layer's weights into a float32 ``RbmState``
   a row block at a time, and ``train_rbm`` advances it in place. While a
   layer trains, the live arrays are its input activations, its state
-  (weights, momentum and gradient buffers) and the parameters of the
-  layers below. ``train_rbm`` releases the momentum and gradient buffers
+  (weights, momentum buffers and batch-sized stacks) and the parameters of
+  the layers below. ``train_rbm`` releases the momentum buffers and stacks
   before the next layer's activations are built.
 - ``pretrain_dbn`` returns a ``Dbn`` of the states' weights and hidden
   biases (the visible biases serve CD only and are dropped), a float32
   head and the float64 standardization. ``fine_tune`` updates those same
-  arrays in place, next to one velocity and one gradient buffer per
-  parameter, and returns the model.
+  arrays in place, next to one velocity per parameter, and returns the
+  model.
 - ``save_model`` writes a ``DBN2`` file: the layers and the head as
   float32, the standardization as float64. ``load_model`` refuses the
   float64 ``DBN1`` files of earlier versions and asks for the train stage
@@ -60,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _blas
 from ._files import atomic_open
 from .config import TrainConfig
 
@@ -68,7 +71,7 @@ BERNOULLI = "bernoulli"
 
 N_LABELS = 7
 
-# bytes of each array that one row block of the training step's elementwise passes covers
+# bytes of each array that one row block of the sigmoid and the weight draw covers
 _BLOCK_BYTES = 1 << 18
 
 # the last byte is the format version; DBN1 held every array in float64
@@ -166,16 +169,16 @@ class Dbn:
 class RbmState:
     """One RBM's mutable float32 training arrays, advanced in place by cd_update.
 
-    Holds the parameters, their momentum buffers, one weight-sized buffer
-    for the scaled CD statistic (reused as the weight-decay scratch) and the
-    two stacks that statistic is one GEMM over, all float32, so a warm
-    training step allocates no weight-sized array. The stacks start empty
-    and grow to twice the largest batch seen. The float32 parameter arrays
-    are taken over as they are, so the state trains them in place.
-    ``train_rbm`` sets the momentum, gradient and stack buffers to None
-    once its epochs are done: only the parameters live on. The next layer's
-    activations are built from them, and the weights and hidden bias become
-    a ``Layer`` of the model ``pretrain_dbn`` returns.
+    Holds the parameters, their momentum buffers and the two stacks that
+    the scaled CD statistic is one GEMM over, all float32. The GEMM writes
+    the statistic into the weights' momentum buffer, so a warm training
+    step allocates no weight-sized array. The stacks start empty and grow
+    to twice the largest batch seen. The float32 parameter arrays are taken
+    over as they are, so the state trains them in place. ``train_rbm`` sets
+    the momentum and stack buffers to None once its epochs are done: only
+    the parameters live on. The next layer's activations are built from
+    them, and the weights and hidden bias become a ``Layer`` of the model
+    ``pretrain_dbn`` returns.
     """
 
     def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
@@ -186,7 +189,6 @@ class RbmState:
         self.velocity_weights = np.zeros_like(self.weights)
         self.velocity_visible_bias = np.zeros_like(self.visible_bias)
         self.velocity_hidden_bias = np.zeros_like(self.hidden_bias)
-        self.grad = np.empty_like(self.weights)
         self.stack_visible = np.empty((0, self.n_visible), dtype=np.float32)
         self.stack_hidden = np.empty((0, self.n_hidden), dtype=np.float32)
 
@@ -241,13 +243,12 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     probabilities for statistics and samples to continue the chain
     (Gaussian visibles use the mean throughout, with no sampling noise).
     The weight step lr*((v0'p0 - vk'pk)/B - decay*W) is taken in this
-    order: one GEMM [v0; vk]' [(lr/B)*p0; -(lr/B)*pk] over the state's
-    stacks into ``grad``, then velocity *= momentum, velocity += grad,
-    grad = (lr*decay)*W, velocity -= grad and W += velocity, five passes
-    over weight-sized arrays that run block by block over rows
-    (``_row_blocks``). The biases take lr times their mean
-    statistic into their momentum buffers. Returns the mean squared error
-    between v0 and the first reconstruction.
+    order, all in OpenBLAS (``_blas``): one GEMM [v0; vk]' [(lr/B)*p0;
+    -(lr/B)*pk] over the state's stacks, added to momentum * velocity in
+    the velocity itself, then velocity += (-lr*decay)*W and W += velocity,
+    two axpy calls. The biases take lr times their mean statistic into
+    their momentum buffers. Returns the mean squared error between v0 and
+    the first reconstruction.
     """
     v0 = np.atleast_2d(np.asarray(batch, dtype=state.weights.dtype))
     n = v0.shape[0]
@@ -278,13 +279,9 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     stack_v[n:] = v_stat
     np.multiply(p0, lr / n, out=stack_h[:n])
     np.multiply(pk, -lr / n, out=stack_h[n:])
-    np.matmul(stack_v.T, stack_h, out=state.grad)
-    for w, velocity, grad in _row_blocks(state.weights, state.velocity_weights, state.grad):
-        velocity *= cfg.momentum
-        velocity += grad
-        np.multiply(w, lr * cfg.weight_decay, out=grad)
-        velocity -= grad
-        w += velocity
+    _blas.gemm(stack_v, stack_h, 1.0, cfg.momentum, state.velocity_weights)
+    _blas.axpy(-lr * cfg.weight_decay, state.weights, state.velocity_weights)
+    _blas.axpy(1.0, state.velocity_weights, state.weights)
     state.velocity_visible_bias *= cfg.momentum
     state.velocity_visible_bias += lr * (v0 - v_stat).mean(axis=0)
     state.velocity_hidden_bias *= cfg.momentum
@@ -322,16 +319,16 @@ def train_rbm(state: RbmState, data: np.ndarray, cfg: TrainConfig,
               rng: np.random.Generator) -> RbmState:
     """Run epochs_pretrain epochs of CD over shuffled minibatches, advancing ``state`` in place.
 
-    Returns ``state``, its parameters trained and its momentum, gradient
-    and stack buffers set to None: nothing trains it by CD again, and at
-    1000x2000 the two weight-sized buffers hold 16 MB that the next layer's
+    Returns ``state``, its parameters trained and its momentum and stack
+    buffers set to None: nothing trains it by CD again, and at 1000x2000
+    the weights' momentum buffer holds 8 MB that the next layer's
     activations and state would otherwise be built next to.
     """
     for _ in range(cfg.epochs_pretrain):
         for idx in _minibatches(data.shape[0], cfg.batch_size, rng):
             cd_update(state, data[idx], cfg, rng)
     state.velocity_weights = state.velocity_visible_bias = state.velocity_hidden_bias = None
-    state.grad = state.stack_visible = state.stack_hidden = None
+    state.stack_visible = state.stack_hidden = None
     return state
 
 
@@ -353,6 +350,15 @@ def fit_standardization(train_features):
     return mean, std
 
 
+def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Float32 z-scores of float64 rows ``x``: (x - mean) / std in float64, cast once.
+
+    The one expression pretraining, fine-tuning and ``forward`` all
+    standardize with, so each sees the same first-layer inputs to the bit.
+    """
+    return ((x - mean) / std).astype(np.float32)
+
+
 def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     """Greedy layerwise pretraining on raw feature vectors.
 
@@ -362,14 +368,14 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     ``data``. Each RBM is trained on the deterministic hidden probabilities
     of the one below it; the softmax head over N_LABELS classes is randomly
     initialized (seeded normal, sd 0.01). ``seed`` fixes every draw.
-    Everything stays float32: the standardized rows are cast once, each
-    layer's weights are drawn into its RbmState (``_init_state``), and
-    ``train_rbm`` returns that state with only its parameters left, which
-    give the next layer its activations. While a layer trains, its input
-    activations, its state and the parameters below it are alive. The head
-    is drawn in float64 and cast, as the weights are. The returned model
-    holds each state's weights and hidden bias, and ``fine_tune`` trains
-    these arrays in place.
+    Everything stays float32: the rows are z-scored and cast once
+    (``_standardized``), each layer's weights are drawn into its RbmState
+    (``_init_state``), and ``train_rbm`` returns that state with only its
+    parameters left, which give the next layer its activations. While a
+    layer trains, its input activations, its state and the parameters
+    below it are alive. The head is drawn in float64 and cast, as the
+    weights are. The returned model holds each state's weights and hidden
+    bias, and ``fine_tune`` trains these arrays in place.
     """
     data = np.asarray(data, dtype=np.float64)
     sizes = [data.shape[1], *hidden_sizes]
@@ -377,7 +383,7 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
 
     rng = np.random.default_rng(seed)
     states: list[RbmState] = []
-    activations = ((data - mean) / std).astype(np.float32)
+    activations = _standardized(data, mean, std)
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
         kind = GAUSSIAN if i == 0 else BERNOULLI
         states.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), activations, cfg, rng))
@@ -423,7 +429,7 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != dbn.n_inputs:
         raise ValueError(f"input rows have {x.shape[-1]} entries, want {dbn.n_inputs}")
-    act = ((x - dbn.input_mean) / dbn.input_std).astype(np.float32)
+    act = _standardized(x, dbn.input_mean, dbn.input_std)
     for w, c in dbn.rbms:
         act = act @ w
         act += c
@@ -433,86 +439,72 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     return np.exp(_log_softmax(logits.astype(np.float64)))
 
 
-def _loss_and_grads(layers, head, z: np.ndarray, labels: np.ndarray, step: float, d_weights):
-    """Mean cross-entropy and its gradient for every parameter, times ``step``.
+def _fine_tune_step(layers, head, velocities, z: np.ndarray, labels: np.ndarray, step: float,
+                    momentum: float) -> None:
+    """One momentum SGD step on the mean cross-entropy of standardized rows ``z``, in place.
 
-    ``z`` holds standardized rows. ``layers`` lists each sigmoid layer's
-    (W, hidden bias) and ``head`` is the softmax (W, bias). ``step``/n is
-    folded into the logits' gradient, so every gradient comes out scaled by
-    ``step`` with no pass of its own.
-    ``d_weights`` holds one array per layer weight and one for the head's,
-    of their shapes and dtype; the weight gradients are written into them.
-    Returns (loss, [(dW_1, dc_1), ...], (dWs, dbs)).
+    ``layers`` lists each sigmoid layer's (W, hidden bias) and ``head`` is
+    the softmax (W, bias); ``velocities`` holds one (weight, bias) velocity
+    pair per layer and a last one for the head. Each parameter p with
+    gradient g takes v = momentum*v - step*g, then p += v. ``step``/n is
+    folded into the logits' gradient, and the gradients are backpropagated
+    from the head down. Each weight's velocity is one GEMM (``_blas.gemm``,
+    alpha -1, beta momentum) and one axpy adds it to the weights, after
+    those weights have given the layer below its backward delta, so every
+    gradient is that of the parameters the step started from. The biases
+    take the same update in NumPy.
     """
     activations, logits = _forward_activations(layers, head, z)
-    log_probs = _log_softmax(logits)
     n = z.shape[0]
-    loss = -float(log_probs[np.arange(n), labels].mean())
-
-    d_logits = np.exp(log_probs)
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits *= step / n
-
-    top = activations[-1]
-    d_head = (np.matmul(top.T, d_logits, out=d_weights[-1]), d_logits.sum(axis=0))
-    d_layers: list[tuple[np.ndarray, np.ndarray]] = []
-    # (W @ X.T).T rather than X @ W.T: faster, same bits (see the module docstring)
-    delta = (head[0] @ d_logits.T).T
-    for i in range(len(layers) - 1, -1, -1):
-        act = activations[i + 1]
-        dz = delta * act
-        dz *= 1.0 - act
-        d_layers.append((np.matmul(activations[i].T, dz, out=d_weights[i]), dz.sum(axis=0)))
+    dz = np.exp(_log_softmax(logits))
+    dz[np.arange(n), labels] -= 1.0
+    dz *= step / n
+    # the head, then each layer from the top; activations[i] is the input of each
+    for i in range(len(layers), -1, -1):
+        w, bias = head if i == len(layers) else layers[i]
+        velocity_w, velocity_bias = velocities[i]
+        _blas.gemm(activations[i], dz, -1.0, momentum, velocity_w)
+        velocity_bias *= momentum
+        velocity_bias -= dz.sum(axis=0)
+        bias += velocity_bias
         if i:
-            delta = (layers[i][0] @ dz.T).T
-    d_layers.reverse()
-    return loss, d_layers, d_head
+            act = activations[i]
+            # (W @ X.T).T rather than X @ W.T: faster (see the module docstring)
+            dz = (w @ dz.T).T * act
+            dz *= 1.0 - act
+        _blas.axpy(1.0, velocity_w, w)
 
 
 def fine_tune(model: Dbn, data, labels, cfg: TrainConfig, seed: int) -> Dbn:
     """Supervised fine-tuning of a pretrained model: momentum SGD on mean cross-entropy.
 
     ``data`` holds raw feature vectors; ``labels`` are integer class
-    indices; ``seed`` fixes the minibatch order. The rows are cast to
-    float32 and z-scored once, before the first epoch, as (x - mean) / std
-    with the model's standardization cast to float32; ``data`` itself is
-    not written. The loop trains ``model``'s float32 arrays in place:
-    each layer's weights and hidden bias and the head. Next to them it
-    allocates one velocity per parameter and one gradient buffer per
-    weight matrix, so at most three float32 copies of each weight matrix
-    are alive. Gradients come out of ``_loss_and_grads`` already scaled by
-    the learning rate, so each step makes three passes over every
-    parameter (velocity *= momentum, velocity -= gradient, parameter +=
-    velocity), block by block over rows (``_row_blocks``), and allocates
-    no weight-sized array. The velocities and gradients are released, and
-    the model is returned once its parameters are checked to be finite.
+    indices; ``seed`` fixes the minibatch order. The rows are z-scored and
+    cast to float32 once, before the first epoch (``_standardized``);
+    ``data`` itself is not written. The loop trains ``model``'s float32
+    arrays in place: each layer's weights and hidden bias and the head.
+    Next to them it allocates one velocity per parameter, so two float32
+    copies of each weight matrix are alive. Each step
+    (``_fine_tune_step``) writes every weight gradient, scaled by the
+    learning rate, straight into its velocity and allocates no
+    weight-sized array. The velocities are released, and the model is
+    returned once its parameters are checked to be finite.
     """
-    x = np.asarray(data, dtype=np.float32)
+    x = _standardized(np.asarray(data, dtype=np.float64), model.input_mean, model.input_std)
     y = np.asarray(labels, dtype=np.int64)
 
-    f32 = np.float32
     layers = model.rbms
     head = (model.softmax_weights, model.softmax_bias)
-    x = (x - model.input_mean.astype(f32)) / model.input_std.astype(f32)
-    # the head first, then each layer's (W, c), as the gradients are listed below
-    params = [*head, *(p for layer in layers for p in layer)]
-    velocities = [np.zeros_like(p) for p in params]
-    d_weights = [np.empty_like(w) for w, _ in layers] + [np.empty_like(head[0])]
+    velocities = [(np.zeros_like(w), np.zeros_like(c)) for w, c in (*layers, head)]
 
     rng = np.random.default_rng(seed)
-    lr = cfg.learning_rate_finetune
     for _ in range(cfg.epochs_finetune):
         for idx in _minibatches(x.shape[0], cfg.batch_size, rng):
-            _, d_layers, d_head = _loss_and_grads(layers, head, x[idx], y[idx], lr, d_weights)
-            grads = [*d_head, *(g for layer in d_layers for g in layer)]
-            for arrays in zip(params, velocities, grads):
-                for param, velocity, grad in _row_blocks(*arrays):
-                    velocity *= cfg.momentum
-                    velocity -= grad
-                    param += velocity
-    # release the velocities and gradient buffers before the check below, so
-    # its temporaries are not built next to them
-    velocities = d_weights = d_layers = d_head = grads = None
+            _fine_tune_step(layers, head, velocities, x[idx], y[idx],
+                            cfg.learning_rate_finetune, cfg.momentum)
+    # release the velocities before the check below, so its temporaries
+    # are not built next to them
+    velocities = None
     # a new Dbn of the same arrays: its validation checks training left them finite
     return replace(model)
 

@@ -9,11 +9,12 @@ The reference protocol trains on clean speech only, evaluates the clean
 baseline plus every configured noise category x SNR on the test split, and
 reports the clean-vs-noisy accuracy difference per condition. Evaluation
 runs on one thread pool with as many workers as OpenBLAS has threads, with
-OpenBLAS pinned to one thread throughout (``evaluate`` says why). The pool
-first featurizes the test split: each utterance is loaded and transformed
-once, under every condition. It then classifies the stacked segment vectors
-in slices of ``_SCORE_BLOCK_ROWS`` rows. Utterance labels come from majority
-vote over segment predictions; segment-level accuracy is reported alongside.
+OpenBLAS pinned to one thread throughout (``_blas.pinned``; ``evaluate``
+says why). The pool first featurizes the test split: each utterance is
+loaded and transformed once, under every condition. It then classifies the
+stacked segment vectors in slices of ``_SCORE_BLOCK_ROWS`` rows. Utterance
+labels come from majority vote over segment predictions; segment-level
+accuracy is reported alongside.
 
 The stages hand over files in the work directory, which only prepare
 creates: manifest.csv, model.dbn with its model.key and report.csv, each
@@ -33,10 +34,7 @@ which fits, stores and applies the input standardization itself.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import hashlib
 import json
 import math
@@ -47,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from ._files import atomic_open
 from .audio import AudioClip, mix_at_snr, read_wav, resample
 from .config import RunConfig
@@ -152,53 +151,6 @@ def _condition_segments(config: RunConfig, clip: AudioClip, name: str, noises,
     return segments.reshape(len(segments), n_conditions, -1).transpose(1, 0, 2)
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count, or None where none is found.
-
-    Looks for a mapped library whose path names OpenBLAS, and in it for
-    numpy's prefixed 64-bit-integer symbols or the plain ones.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower() and "/" in line})
-    except OSError:  # no /proc: not Linux
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _blas_pinned():
-    """OpenBLAS pinned to one thread for the block; yields how many it had, 1 if none is found.
-
-    The count is restored when the block exits, also on an error.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield 1
-        return
-    get, put = blas
-    n_threads = get()
-    put(1)
-    try:
-        yield n_threads
-    finally:
-        put(n_threads)
-
-
 def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]:
     """Score a nonempty test split under clean and every noise condition.
 
@@ -236,7 +188,7 @@ def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]
     entries = list(entries)
     snrs_db = sorted(config.snrs_db)
     conditions = [(CLEAN_CONDITION, None)] + [(c, snr) for c in noises for snr in snrs_db]
-    with _blas_pinned() as n_threads, ThreadPoolExecutor(n_threads) as pool:
+    with _blas.pinned() as n_threads, ThreadPoolExecutor(n_threads) as pool:
         features = list(pool.map(
             lambda e: _condition_segments(config, _load_utterance(config, e.path),
                                           Path(e.path).name, noises, snrs_db),
@@ -421,13 +373,13 @@ def _training_set(config: RunConfig, train_entries, noises=None):
     window is keyed the same way (``noise_offset_for``).
 
     The utterances run one after another in the calling thread, with
-    OpenBLAS pinned to one thread (``_blas_pinned``), so the small mel and
+    OpenBLAS pinned to one thread (``_blas.pinned``), so the small mel and
     DCT products never wait for an OpenBLAS worker to get a core.
     """
     categories = list(noises or ())
     blocks = []
     labels = []
-    with _blas_pinned():
+    with _blas.pinned():
         for entry in train_entries:
             name = Path(entry.path).name
             clip = _load_utterance(config, entry.path)

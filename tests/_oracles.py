@@ -245,10 +245,12 @@ def reference_finetune_grads(layers, head, mean, std, x, labels, step):
     """Mean cross-entropy gradients of the unrolled sigmoid net and softmax head, times ``step``.
 
     ``layers`` is a list of (W, hidden bias); ``head`` is (W, bias). The
-    logits' gradient is scaled by step/n, so every gradient carries the
-    step. Returns ([(dW, dc), ...], (dW_head, db_head)).
+    rows are z-scored in the dtype of ``x``, ``mean`` and ``std`` and then
+    cast to that of the head. The logits' gradient is scaled by step/n, so
+    every gradient carries the step. Returns ([(dW, dc), ...], (dW_head,
+    db_head)).
     """
-    activations = [(x - mean) / std]
+    activations = [((x - mean) / std).astype(head[0].dtype)]
     for w, c in layers:
         activations.append(reference_sigmoid(activations[-1] @ w + c))
     logits = activations[-1] @ head[0] + head[1]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emonoise import pipeline
+from emonoise import _blas, pipeline
 from emonoise.audio import AudioClip
 from emonoise.config import RunConfig
 from emonoise.dbn import Dbn, Layer, TrainConfig, fit_standardization, forward, load_model
@@ -519,10 +519,10 @@ def segments_of(config, entries, noises):
 
 def openblas_threads():
     """(get, set) of OpenBLAS's thread count; skips the test where no OpenBLAS is found."""
-    found = pipeline._openblas_threads()
-    if found is None:
+    blas = _blas._openblas()
+    if blas is None:
         pytest.skip("no OpenBLAS found in this process")
-    return found
+    return blas.get_threads, blas.set_threads
 
 
 class TestTwoPhaseEvaluate:
@@ -642,7 +642,7 @@ class TestTwoPhaseEvaluate:
         def two_threads():
             yield 2
 
-        monkeypatch.setattr(pipeline, "_blas_pinned", two_threads)
+        monkeypatch.setattr(_blas, "pinned", two_threads)
         monkeypatch.setattr(pipeline, "_load_utterance", lambda config, path: path)
         monkeypatch.setattr(pipeline, "_condition_segments", featurized)
         entries = [ManifestEntry(f"{k:04d}a01Wa.wav", Label.ANGER, "01", "test")
@@ -685,7 +685,7 @@ class TestTwoPhaseEvaluate:
 
     def test_reports_do_not_depend_on_the_scoring_workers(self, learned_run, monkeypatch):
         config, model, entries, noises = learned_run
-        pinned = pipeline._blas_pinned
+        pinned = _blas.pinned
         monkeypatch.setattr(pipeline, "_SCORE_BLOCK_ROWS", 7)  # many slices in flight
         reports = []
         for n_workers in (1, 2):
@@ -694,7 +694,7 @@ class TestTwoPhaseEvaluate:
                 with pinned():
                     yield n_workers
 
-            monkeypatch.setattr(pipeline, "_blas_pinned", workers)
+            monkeypatch.setattr(_blas, "pinned", workers)
             reports.append(evaluate(model, entries, config, noises))
         for a, b in zip(*reports, strict=True):
             np.testing.assert_array_equal(a.confusion, b.confusion)
