@@ -29,10 +29,13 @@ and scored with. Only the input standardization is float64.
 
 - ``pretrain_dbn`` draws each layer's weights into a float32 ``RbmState``
   a row block at a time, and ``train_rbm`` advances it in place. While a
-  layer trains, the live arrays are its input activations, its state
-  (weights, momentum buffers and batch-sized stacks) and the parameters of
-  the layers below. ``train_rbm`` releases the momentum buffers and stacks
-  before the next layer's activations are built.
+  layer trains, the live arrays are one activation matrix (its input), its
+  state (weights, momentum buffers and the batch-sized stacks each CD step
+  works in) and the parameters of the layers below. ``train_rbm`` releases
+  the momentum buffers and stacks before the next layer's activations are
+  built. A layer no wider than its input writes its activations over that
+  input, a row block at a time (``_next_activations``), so only a wider
+  layer's activations are ever built next to its input.
 - ``pretrain_dbn`` returns a ``Dbn`` of the states' weights and hidden
   biases (the visible biases serve CD only and are dropped), a float32
   head and the float64 standardization. ``fine_tune`` updates those same
@@ -172,13 +175,14 @@ class RbmState:
     Holds the parameters, their momentum buffers and the two stacks that
     the scaled CD statistic is one GEMM over, all float32. The GEMM writes
     the statistic into the weights' momentum buffer, so a warm training
-    step allocates no weight-sized array. The stacks start empty and grow
-    to twice the largest batch seen. The float32 parameter arrays are taken
-    over as they are, so the state trains them in place. ``train_rbm`` sets
-    the momentum and stack buffers to None once its epochs are done: only
-    the parameters live on. The next layer's activations are built from
-    them, and the weights and hidden bias become a ``Layer`` of the model
-    ``pretrain_dbn`` returns.
+    step allocates no weight-sized array. The step's batch, p0 and pk are
+    computed into the stacks too (see ``cd_update``). The stacks start
+    empty and grow to twice the largest batch seen. The float32 parameter
+    arrays are taken over as they are, so the state trains them in place.
+    ``train_rbm`` sets the momentum and stack buffers to None once its
+    epochs are done: only the parameters live on. The next layer's
+    activations are built from them, and the weights and hidden bias
+    become a ``Layer`` of the model ``pretrain_dbn`` returns.
     """
 
     def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
@@ -202,16 +206,20 @@ class RbmState:
 
 
 def _row_blocks(*arrays: np.ndarray):
-    """Matching leading-axis slices of same-shaped arrays, about _BLOCK_BYTES of each."""
+    """Matching row slices of arrays with one row count, about _BLOCK_BYTES of the first."""
     first = arrays[0]
     step = max(1, _BLOCK_BYTES * len(first) // max(1, first.nbytes))
     for start in range(0, len(first), step):
         yield tuple(a[start : start + step] for a in arrays)
 
 
-def hidden_probs(state: RbmState, v: np.ndarray) -> np.ndarray:
-    """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W) for float32 rows ``v``, in float32."""
-    pre = v @ state.weights
+def hidden_probs(state: RbmState, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W) for float32 rows ``v``, in float32.
+
+    Written into ``out`` where one is given: a C-order float32 array of the
+    result's shape that does not overlap ``v``.
+    """
+    pre = np.matmul(v, state.weights, out=out)
     pre += state.hidden_bias
     return _sigmoid_inplace(pre)
 
@@ -236,7 +244,7 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator) -> float:
-    """One CD-k parameter update on a minibatch, applied to ``state`` in place.
+    """One CD-k parameter update on a minibatch of rows, applied to ``state`` in place.
 
     Positive statistics come from (v0, hidden_probs(v0)). The chain draws
     hidden states as Bernoulli samples; visible reconstructions use
@@ -249,16 +257,28 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
     two axpy calls. The biases take lr times their mean statistic into
     their momentum buffers. Returns the mean squared error between v0 and
     the first reconstruction.
+
+    The step works in the stacks: the batch is cast into the visible
+    stack's first half, and p0 and pk are computed straight into the two
+    halves of the hidden one, which are then scaled in place for the GEMM.
+    The hidden-bias statistic p0 - pk goes through the last hidden sample's
+    buffer, and the visible-bias statistic and the error come from one
+    C-order difference v0 - vk (v0 - v1 for the error when k > 1).
     """
-    v0 = np.atleast_2d(np.asarray(batch, dtype=state.weights.dtype))
-    n = v0.shape[0]
+    n = len(batch)
     lr = (
         cfg.learning_rate_pretrain_gaussian
         if state.visible_kind == GAUSSIAN
         else cfg.learning_rate_pretrain
     )
+    if state.stack_visible.shape[0] < 2 * n:
+        state.stack_visible = np.empty((2 * n, state.n_visible), dtype=np.float32)
+        state.stack_hidden = np.empty((2 * n, state.n_hidden), dtype=np.float32)
+    stack_v, stack_h = state.stack_visible[: 2 * n], state.stack_hidden[: 2 * n]
+    v0, p0, pk = stack_v[:n], stack_h[:n], stack_h[n:]
+    v0[...] = batch
 
-    p0 = hidden_probs(state, v0)
+    hidden_probs(state, v0, out=p0)
     h = _sample(p0, rng)
     v1 = None
     v_stat = None
@@ -269,27 +289,26 @@ def cd_update(state: RbmState, batch, cfg: TrainConfig, rng: np.random.Generator
         if step + 1 < cfg.cd_steps:
             v_chain = _sample(v_stat, rng) if state.visible_kind == BERNOULLI else v_stat
             h = _sample(hidden_probs(state, v_chain), rng)
-    pk = hidden_probs(state, v_stat)
-
-    if state.stack_visible.shape[0] < 2 * n:
-        state.stack_visible = np.empty((2 * n, state.n_visible), dtype=np.float32)
-        state.stack_hidden = np.empty((2 * n, state.n_hidden), dtype=np.float32)
-    stack_v, stack_h = state.stack_visible[: 2 * n], state.stack_hidden[: 2 * n]
-    stack_v[:n] = v0
+    hidden_probs(state, v_stat, out=pk)
     stack_v[n:] = v_stat
-    np.multiply(p0, lr / n, out=stack_h[:n])
-    np.multiply(pk, -lr / n, out=stack_h[n:])
+
+    state.velocity_hidden_bias *= cfg.momentum
+    state.velocity_hidden_bias += lr * np.subtract(p0, pk, out=h).mean(axis=0)
+    diff = v0 - stack_v[n:]
+    state.velocity_visible_bias *= cfg.momentum
+    state.velocity_visible_bias += lr * diff.mean(axis=0)
+    if v1 is not v_stat:
+        np.subtract(v0, v1, out=diff)
+    err = float(np.mean(np.square(diff, out=diff)))
+
+    p0 *= lr / n
+    pk *= -lr / n
     _blas.gemm(stack_v, stack_h, 1.0, cfg.momentum, state.velocity_weights)
     _blas.axpy(-lr * cfg.weight_decay, state.weights, state.velocity_weights)
     _blas.axpy(1.0, state.velocity_weights, state.weights)
-    state.velocity_visible_bias *= cfg.momentum
-    state.velocity_visible_bias += lr * (v0 - v_stat).mean(axis=0)
-    state.velocity_hidden_bias *= cfg.momentum
-    state.velocity_hidden_bias += lr * (p0 - pk).mean(axis=0)
-
     state.visible_bias += state.velocity_visible_bias
     state.hidden_bias += state.velocity_hidden_bias
-    return float(np.mean(np.square(v0 - v1)))
+    return err
 
 
 def _init_state(n_visible: int, n_hidden: int, kind: str, rng: np.random.Generator) -> RbmState:
@@ -359,6 +378,29 @@ def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarra
     return ((x - mean) / std).astype(np.float32)
 
 
+def _next_activations(state: RbmState, v: np.ndarray) -> np.ndarray:
+    """``hidden_probs(state, v)`` for C-order rows ``v``, written over ``v`` where it fits.
+
+    Where the layer is no wider than its input, each block of about
+    _BLOCK_BYTES of input rows (``_row_blocks``) goes through one
+    ``hidden_probs`` call, and its output rows are copied into the flat
+    prefix of ``v``'s buffer: output row r ends before input row r does,
+    so it only overwrites rows already consumed. The result is a view of
+    that buffer and ``v`` is spent. A wider layer gets a new array.
+
+    OpenBLAS's SkylakeX kernels give the blocks the bits of one product
+    over all rows. Its Haswell kernels round a product by its row count,
+    so there the blocks differ from it by up to about 10 float32 eps.
+    """
+    n, n_hid = v.shape[0], state.n_hidden
+    if n_hid > v.shape[1]:
+        return hidden_probs(state, v)
+    out = v.reshape(-1)[: n * n_hid].reshape(n, n_hid)
+    for rows, out_rows in _row_blocks(v, out):
+        out_rows[...] = hidden_probs(state, rows)
+    return out
+
+
 def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     """Greedy layerwise pretraining on raw feature vectors.
 
@@ -373,9 +415,12 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     (``_init_state``), and ``train_rbm`` returns that state with only its
     parameters left, which give the next layer its activations. While a
     layer trains, its input activations, its state and the parameters
-    below it are alive. The head is drawn in float64 and cast, as the
-    weights are. The returned model holds each state's weights and hidden
-    bias, and ``fine_tune`` trains these arrays in place.
+    below it are alive. A layer no wider than its input computes its
+    activations over that input's buffer (``_next_activations``), so the
+    paper's 1000-1000 pair holds one activation matrix, not two; a wider
+    layer's activations are a new array. The head is drawn in float64 and
+    cast, as the weights are. The returned model holds each state's
+    weights and hidden bias, and ``fine_tune`` trains these arrays in place.
     """
     data = np.asarray(data, dtype=np.float64)
     sizes = [data.shape[1], *hidden_sizes]
@@ -388,7 +433,7 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
         kind = GAUSSIAN if i == 0 else BERNOULLI
         states.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), activations, cfg, rng))
         if i + 2 < len(sizes):
-            activations = hidden_probs(states[-1], activations)
+            activations = _next_activations(states[-1], activations)
 
     head = (0.01 * rng.standard_normal((sizes[-1], N_LABELS))).astype(np.float32)
     return Dbn([Layer(s.weights, s.hidden_bias) for s in states], head,
@@ -452,7 +497,8 @@ def _fine_tune_step(layers, head, velocities, z: np.ndarray, labels: np.ndarray,
     alpha -1, beta momentum) and one axpy adds it to the weights, after
     those weights have given the layer below its backward delta, so every
     gradient is that of the parameters the step started from. The biases
-    take the same update in NumPy.
+    take the same update in NumPy. The sigmoid derivative a(1 - a) takes
+    1 - a in a's own buffer, which nothing reads after that delta.
     """
     activations, logits = _forward_activations(layers, head, z)
     n = z.shape[0]
@@ -471,7 +517,7 @@ def _fine_tune_step(layers, head, velocities, z: np.ndarray, labels: np.ndarray,
             act = activations[i]
             # (W @ X.T).T rather than X @ W.T: faster (see the module docstring)
             dz = (w @ dz.T).T * act
-            dz *= 1.0 - act
+            dz *= np.subtract(1.0, act, out=act)
         _blas.axpy(1.0, velocity_w, w)
 
 

@@ -35,6 +35,7 @@ from emonoise.dbn import (
     _forward_activations,
     _log_softmax,
     _fine_tune_step,
+    _next_activations,
     cd_update,
     fine_tune,
     fit_standardization,
@@ -311,21 +312,24 @@ class TestCdUpdate:
 
 
     def test_warm_step_allocates_less_than_one_weight_matrix(self):
-        # the statistic's stacks and the gradient buffer are reused after the
-        # first call; a small batch keeps the batch-sized temporaries well
-        # below one weight matrix
+        # at the default batch of 64 the stacks are reused after the first
+        # call, and p0, pk and the batch itself live in them; the float64
+        # draw of the hidden sample is the largest temporary
+        cfg = TrainConfig()
         state = state_of(random_rbm(300, 400, seed=34, scale=0.01))
-        batch = np.random.default_rng(35).random((16, 300))
+        batch = np.random.default_rng(35).random((cfg.batch_size, 300))
         rng = np.random.default_rng(36)
-        cd_update(state, batch, TrainConfig(), rng)
+        cd_update(state, batch, cfg, rng)
         stacks = state.stack_visible, state.stack_hidden
         tracemalloc.start()
         try:
-            cd_update(state, batch[:9], TrainConfig(), rng)
+            cd_update(state, batch, cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < state.weights.nbytes
+        # a smaller batch works in the same stacks
+        cd_update(state, batch[:9], cfg, rng)
         assert state.stack_visible is stacks[0] and state.stack_hidden is stacks[1]
 
     @pytest.mark.parametrize("kind", [GAUSSIAN, BERNOULLI])
@@ -467,6 +471,28 @@ class TestPretrain:
         before = data.copy()
         pretrain_dbn(data, [6, 4], TrainConfig(epochs_pretrain=1, batch_size=8), seed=10)
         np.testing.assert_array_equal(data, before)
+
+    # rows chosen so the last _BLOCK_BYTES block of input rows is ragged
+    @pytest.mark.parametrize("n_vis, n_hid, n", [
+        (1000, 1000, 200), (512, 256, 300), (300, 299, 500), (64, 1, 2100), (13, 1000, 5100),
+    ])
+    def test_next_activations_match_hidden_probs(self, n_vis, n_hid, n):
+        rows_per_block = dbn_module._BLOCK_BYTES // (4 * n_vis)
+        assert n > rows_per_block and n % rows_per_block
+        state = state_of(random_rbm(n_vis, n_hid, seed=n_vis + n_hid, scale=0.1))
+        v = np.random.default_rng(n).random((n, n_vis), dtype=np.float32)
+        whole = hidden_probs(state, v.copy())
+        in_place = n_hid <= n_vis
+        # a layer no wider than its input takes its input a row block at a time
+        want = np.concatenate([hidden_probs(state, rows.copy())
+                               for (rows,) in dbn_module._row_blocks(v)]) if in_place else whole
+        got = _next_activations(state, v)
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, v) == in_place
+        # OpenBLAS's SkylakeX kernels give the blocks the bits of one whole
+        # product; its Haswell kernels round them differently, by up to 10.5
+        # eps measured
+        assert_close(got, whole, 32 * EPS32)
 
 
 class TestForward:
@@ -938,6 +964,24 @@ class TestFloat32Training:
         finally:
             tracemalloc.stop()
         assert peak < activations + 2 * largest + slack
+
+    def test_pretraining_holds_one_activation_matrix(self):
+        # 13-256-256-16: the 256->256 layer's activations are written over
+        # its input's, so the 4 MB of 4096x256 activations are held once;
+        # building them next to their input, as a wider layer must, would
+        # hold two. The rest took 1.3 MB: the 256x256 state, block-sized
+        # temporaries and the z-scored input
+        n, widths = 4096, [256, 256, 16]
+        data = np.random.default_rng(61).standard_normal((n, 13))
+        cfg = TrainConfig(epochs_pretrain=1, batch_size=32)
+        activations = n * widths[0] * 4
+        tracemalloc.start()
+        try:
+            pretrain_dbn(data, widths, cfg, seed=62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < activations + activations // 2
 
     def test_models_take_float32_parameters_over_and_cast_the_standardization(self):
         model = small_dbn(seed=57)
