@@ -3,22 +3,22 @@
 This module and ``config`` import the standard library only, so the
 ``prepare`` stage, which needs nothing else, starts without loading numpy.
 
-``split`` shuffles with ``_Pcg64``, a pure-Python copy of the generator
-behind ``numpy.random.default_rng(seed)``: the PCG64 XSL-RR bit generator
-(O'Neill, *PCG: A Family of Simple Fast Space-Efficient Statistically Good
-Algorithms for Random Number Generation*, 2014) seeded through numpy's
-``SeedSequence``, and ``Generator.permutation``'s Fisher-Yates shuffle with
-masked rejection. It replays that stream draw for draw, so every split is
-the one numpy draws for the same seed. Carrying its own copy also keeps the
-split fixed if numpy's ``Generator`` stream changes, which NumPy's RNG
-policy (NEP 19) allows between releases: a new split would no longer match
-the ``model.key`` of a model trained on the old one.
+``split`` shuffles with a Fisher-Yates pass that draws only through
+``random.Random(seed).random()``, whose sequence for a given seed Python's
+``random`` documentation ("Notes on Reproducibility") keeps the same across
+releases; it promises no such thing of ``shuffle`` or ``randrange``. So no
+Python or numpy release can move a split and orphan the ``model.key`` of a
+model trained on it. The shuffle has no item cap. It replaced a pure-Python
+replay of numpy's ``default_rng(seed).permutation``, so every split changed
+once then: an older ``manifest.csv`` keeps its split until ``prepare`` runs
+again, after which evaluation refuses the old model until ``train`` runs again.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import random
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
@@ -88,96 +88,13 @@ def build_manifest(clean_dir):
     ]
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_state(seed: int) -> list[int]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for a nonnegative int ``seed``.
-
-    The seed is cut into little-endian 32-bit words, hashed into a pool of
-    four words, and the pool mixed so that every word affects every other;
-    words past the fourth are mixed into each pool word in turn.
-    """
-    entropy = [seed & _MASK32]
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _Pcg64:
-    """``numpy.random.default_rng(seed)``, reduced to the draws ``permutation`` makes."""
-
-    def __init__(self, seed: int):
-        state = _seed_state(seed)
-        self._inc = (state[2] << 64 | state[3]) << 1 & _MASK128 | 1
-        self._state = 0
-        self._step()
-        self._state = (self._state + (state[0] << 64 | state[1])) & _MASK128
-        self._step()
-        self._high_half = None  # the unused upper half of the last 64-bit draw
-
-    def _step(self) -> None:
-        self._state = (self._state * _PCG_MULTIPLIER + self._inc) & _MASK128
-
-    def _next64(self) -> int:
-        """XSL-RR: the state's halves xor-ed, rotated right by its top six bits."""
-        self._step()
-        word = (self._state >> 64 ^ self._state) & _MASK64
-        rot = self._state >> 122
-        return (word >> rot | word << (64 - rot)) & _MASK64
-
-    def _next32(self) -> int:
-        """The low half of a fresh 64-bit draw, or the high half of the previous one."""
-        if self._high_half is not None:
-            half, self._high_half = self._high_half, None
-            return half
-        word = self._next64()
-        self._high_half = word >> 32
-        return word & _MASK32
-
-    def permutation(self, n: int) -> list[int]:
-        """A shuffled ``range(n)``: Fisher-Yates from the last item, each index by masked rejection."""
-        if n > 1 << 32:  # numpy draws 64-bit words for such an n, which this omits
-            raise ValueError(f"cannot permute {n} items")
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while (j := self._next32() & mask) > i:
-                pass
-            order[i], order[j] = order[j], order[i]
-        return order
+def _shuffled(n: int, rng: random.Random) -> list[int]:
+    """``range(n)`` shuffled from the last item down: item i swaps with int(rng.random() * (i + 1))."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.random() * (i + 1))
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def split(manifest, strategy: str, test_fraction: float, seed: int):
@@ -187,14 +104,15 @@ def split(manifest, strategy: str, test_fraction: float, seed: int):
     ceil(fraction * n) to test; it refuses a label that this would leave
     with none for training. leave_speakers_out assigns whole speakers
     to test until the fraction is reached; it refuses a split that leaves
-    a label with no training utterance. Both shuffle with ``_Pcg64(seed)``,
-    one permutation per label in label order, or one of the sorted speakers.
-    ``strategy`` is one of these two and ``test_fraction`` lies in (0, 1),
-    as ``RunConfig`` requires.
+    a label with no training utterance. Both shuffle with one
+    ``random.Random(seed)``, once per label in label order, or once over the
+    sorted speakers, through ``_shuffled``; see the module docstring for why
+    only ``random()`` is drawn. ``strategy`` is one of these two and
+    ``test_fraction`` lies in (0, 1), as ``RunConfig`` requires.
     """
     if not manifest:
         raise ValueError("manifest is empty")
-    rng = _Pcg64(seed)
+    rng = random.Random(seed)
     test_idx: set[int] = set()
 
     if strategy == "stratified_random":
@@ -207,7 +125,7 @@ def split(manifest, strategy: str, test_fraction: float, seed: int):
                     f"label {label.name.lower()} has {len(members)} utterance(s); "
                     "stratified_random needs at least 2"
                 )
-            order = rng.permutation(len(members))
+            order = _shuffled(len(members), rng)
             n_test = math.ceil(test_fraction * len(members))
             if n_test == len(members):
                 raise ValueError(
@@ -217,7 +135,7 @@ def split(manifest, strategy: str, test_fraction: float, seed: int):
             test_idx.update(members[i] for i in order[len(members) - n_test :])
     else:  # leave_speakers_out
         speakers = sorted({e.speaker for e in manifest})
-        order = rng.permutation(len(speakers))
+        order = _shuffled(len(speakers), rng)
         target = test_fraction * len(manifest)
         count = 0
         for pos in order:

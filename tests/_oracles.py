@@ -8,13 +8,10 @@ float32 trainer when given float32 arrays; the pretraining reference
 chains them in float32. The evaluation reference is the
 exception: it checks the spectral-domain mixing of ``pipeline.evaluate``
 against the time-domain path, so it is built from ``mix_at_snr``, ``mfcc``,
-``segment_features`` and ``forward``, which other tests verify. The split
-reference is the split as it was written on numpy's ``Generator``, so it
-checks that ``manifest.split`` replays numpy's stream with its own PCG64.
+``segment_features`` and ``forward``, which other tests verify.
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +19,6 @@ import numpy as np
 from emonoise.audio import mix_at_snr, read_wav
 from emonoise.dbn import N_LABELS, forward
 from emonoise.dsp import mfcc, segment_features
-from emonoise.manifest import Label
 from emonoise.pipeline import noise_offset_for
 
 
@@ -354,53 +350,3 @@ def reference_evaluate(model, entries, config, noises):
             vote = int(np.argmax(np.bincount(preds, minlength=N_LABELS)))
             confusions[i, int(entry.label), vote] += 1
     return confusions, [h / t for h, t in zip(hits, totals)]
-
-
-def reference_split(manifest, strategy, test_fraction, seed):
-    """``manifest.split`` with numpy's ``default_rng(seed).permutation`` as the shuffle."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    if not manifest:
-        raise ValueError("manifest is empty")
-    rng = np.random.default_rng(seed)
-    test_idx = set()
-    if strategy == "stratified_random":
-        for label in Label:
-            members = [i for i, e in enumerate(manifest) if e.label == label]
-            if not members:
-                continue
-            if len(members) < 2:
-                raise ValueError(
-                    f"label {label.name.lower()} has {len(members)} utterance(s); "
-                    "stratified_random needs at least 2"
-                )
-            order = rng.permutation(len(members))
-            n_test = math.ceil(test_fraction * len(members))
-            if n_test == len(members):
-                raise ValueError(
-                    f"label {label.name.lower()} has {len(members)} utterances; "
-                    f"test_fraction {test_fraction} sends all of them to test"
-                )
-            test_idx.update(members[i] for i in order[len(members) - n_test :])
-    elif strategy == "leave_speakers_out":
-        speakers = sorted({e.speaker for e in manifest})
-        target = test_fraction * len(manifest)
-        count = 0
-        for pos in rng.permutation(len(speakers)):
-            if count >= target:
-                break
-            members = [i for i, e in enumerate(manifest) if e.speaker == speakers[pos]]
-            test_idx.update(members)
-            count += len(members)
-        if len(test_idx) == len(manifest):
-            raise ValueError("leave_speakers_out left no speakers for training")
-        trained = {e.label for i, e in enumerate(manifest) if i not in test_idx}
-        untrained = sorted({e.label for e in manifest} - trained)
-        if untrained:
-            raise ValueError(
-                f"label {untrained[0].name.lower()} is spoken only by test speakers; "
-                "leave_speakers_out leaves it no training utterance"
-            )
-    else:
-        raise ValueError(f"unknown split strategy {strategy!r}")
-    return [replace(e, split="test" if i in test_idx else "train") for i, e in enumerate(manifest)]

@@ -153,11 +153,15 @@ class TestSplit:
         assert not (train_speakers & test_speakers)
 
     def test_leave_speakers_out_label_left_without_training_rejected(self):
-        # sadness is spoken by speaker 01 alone, and seed 1 sends 01 to test
-        manifest = [e for e in synthetic_manifest(per_label=10, n_speakers=5)
-                    if e.label != Label.SADNESS or e.speaker == "01"]
-        with pytest.raises(ValueError, match="label sadness .*leave_speakers_out"):
-            split(manifest, "leave_speakers_out", 0.2, seed=1)
+        # anger is spoken by 01 alone and sadness by 02 alone; whichever
+        # speaker is drawn first fills the test half, and takes its label with it
+        manifest = [ManifestEntry(f"{speaker}x{label.name}{i}.wav", label, speaker)
+                    for speaker, own in (("01", Label.ANGER), ("02", Label.SADNESS))
+                    for label in (own, Label.NEUTRAL) for i in range(6)]
+        refusal = "label (anger|sadness) is spoken only by test speakers"
+        for seed in range(20):
+            with pytest.raises(ValueError, match=refusal):
+                split(manifest, "leave_speakers_out", 0.5, seed=seed)
 
     # split takes its strategy and fraction from a RunConfig, which refuses bad ones
     def test_bad_fraction_rejected(self):
