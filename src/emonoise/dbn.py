@@ -28,14 +28,15 @@ drawn into one float32 array, and that array is trained, saved, loaded
 and scored with. Only the input standardization is float64.
 
 - ``pretrain_dbn`` draws each layer's weights into a float32 ``RbmState``
-  a row block at a time, and ``train_rbm`` advances it in place. While a
-  layer trains, the live arrays are one activation matrix (its input), its
-  state (weights, momentum buffers and the batch-sized stacks each CD step
-  works in) and the parameters of the layers below. ``train_rbm`` releases
-  the momentum buffers and stacks before the next layer's activations are
-  built. A layer no wider than its input writes its activations over that
-  input, a row block at a time (``_next_activations``), so only a wider
-  layer's activations are ever built next to its input.
+  a row block at a time, and ``train_rbm`` advances it in place. Every
+  layer trains on the z-scored input rows: each minibatch is gathered from
+  them and carried up through the trained layers below by
+  ``hidden_probs``, so no activation matrix is ever built. While a layer
+  trains, the live arrays are its state (weights, momentum buffers and the
+  batch-sized stacks each CD step works in), the parameters of the layers
+  below it, the z-scored rows and one minibatch's activations.
+  ``train_rbm`` releases the momentum buffers and stacks before the next
+  layer's state is drawn.
 - ``pretrain_dbn`` returns a ``Dbn`` of the states' weights and hidden
   biases (the visible biases serve CD only and are dropped), a float32
   head and the float64 standardization. ``fine_tune`` updates those same
@@ -60,6 +61,7 @@ from __future__ import annotations
 import os
 import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -180,9 +182,9 @@ class RbmState:
     empty and grow to twice the largest batch seen. The float32 parameter
     arrays are taken over as they are, so the state trains them in place.
     ``train_rbm`` sets the momentum and stack buffers to None once its
-    epochs are done: only the parameters live on. The next layer's
-    activations are built from them, and the weights and hidden bias
-    become a ``Layer`` of the model ``pretrain_dbn`` returns.
+    epochs are done: only the parameters live on. They carry every upper
+    layer's minibatches up to it, and the weights and hidden bias become a
+    ``Layer`` of the model ``pretrain_dbn`` returns.
     """
 
     def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
@@ -335,17 +337,29 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_rbm(state: RbmState, data: np.ndarray, cfg: TrainConfig,
-              rng: np.random.Generator) -> RbmState:
+              rng: np.random.Generator, below: Sequence[RbmState] = ()) -> RbmState:
     """Run epochs_pretrain epochs of CD over shuffled minibatches, advancing ``state`` in place.
+
+    ``below`` lists the trained layers under this one, input side first.
+    Each minibatch gathers its rows of ``data`` and carries them up through
+    those layers with ``hidden_probs``, so this layer sees the hidden
+    probabilities of the one below it without any matrix of them existing:
+    the live arrays are ``data``, the layers, ``state`` and one batch's
+    activations. On OpenBLAS's SkylakeX kernels a batch gets the bits of
+    the same rows of one product over all rows; its Haswell kernels round a
+    product by its row count, there by up to about 10 float32 eps.
 
     Returns ``state``, its parameters trained and its momentum and stack
     buffers set to None: nothing trains it by CD again, and at 1000x2000
-    the weights' momentum buffer holds 8 MB that the next layer's
-    activations and state would otherwise be built next to.
+    the weights' momentum buffer holds 8 MB that the fine-tuning
+    velocities would otherwise be built next to.
     """
     for _ in range(cfg.epochs_pretrain):
         for idx in _minibatches(data.shape[0], cfg.batch_size, rng):
-            cd_update(state, data[idx], cfg, rng)
+            batch = data[idx]
+            for layer in below:
+                batch = hidden_probs(layer, batch)
+            cd_update(state, batch, cfg, rng)
     state.velocity_weights = state.velocity_visible_bias = state.velocity_hidden_bias = None
     state.stack_visible = state.stack_hidden = None
     return state
@@ -378,29 +392,6 @@ def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarra
     return ((x - mean) / std).astype(np.float32)
 
 
-def _next_activations(state: RbmState, v: np.ndarray) -> np.ndarray:
-    """``hidden_probs(state, v)`` for C-order rows ``v``, written over ``v`` where it fits.
-
-    Where the layer is no wider than its input, each block of about
-    _BLOCK_BYTES of input rows (``_row_blocks``) goes through one
-    ``hidden_probs`` call, and its output rows are copied into the flat
-    prefix of ``v``'s buffer: output row r ends before input row r does,
-    so it only overwrites rows already consumed. The result is a view of
-    that buffer and ``v`` is spent. A wider layer gets a new array.
-
-    OpenBLAS's SkylakeX kernels give the blocks the bits of one product
-    over all rows. Its Haswell kernels round a product by its row count,
-    so there the blocks differ from it by up to about 10 float32 eps.
-    """
-    n, n_hid = v.shape[0], state.n_hidden
-    if n_hid > v.shape[1]:
-        return hidden_probs(state, v)
-    out = v.reshape(-1)[: n * n_hid].reshape(n, n_hid)
-    for rows, out_rows in _row_blocks(v, out):
-        out_rows[...] = hidden_probs(state, rows)
-    return out
-
-
 def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     """Greedy layerwise pretraining on raw feature vectors.
 
@@ -413,14 +404,14 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     Everything stays float32: the rows are z-scored and cast once
     (``_standardized``), each layer's weights are drawn into its RbmState
     (``_init_state``), and ``train_rbm`` returns that state with only its
-    parameters left, which give the next layer its activations. While a
-    layer trains, its input activations, its state and the parameters
-    below it are alive. A layer no wider than its input computes its
-    activations over that input's buffer (``_next_activations``), so the
-    paper's 1000-1000 pair holds one activation matrix, not two; a wider
-    layer's activations are a new array. The head is drawn in float64 and
-    cast, as the weights are. The returned model holds each state's
-    weights and hidden bias, and ``fine_tune`` trains these arrays in place.
+    parameters left. Every layer trains on the z-scored rows and the
+    trained states below it, which ``train_rbm`` carries each minibatch up
+    through, so while a layer trains only its state, the layers below it
+    and the z-scored rows are alive: at paper width the top layer trains
+    without the 16.8 MB of 4200x1000 activations under it. The head is
+    drawn in float64 and cast, as the weights are. The returned model
+    holds each state's weights and hidden bias, and ``fine_tune`` trains
+    these arrays in place.
     """
     data = np.asarray(data, dtype=np.float64)
     sizes = [data.shape[1], *hidden_sizes]
@@ -428,12 +419,10 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
 
     rng = np.random.default_rng(seed)
     states: list[RbmState] = []
-    activations = _standardized(data, mean, std)
+    z = _standardized(data, mean, std)
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
         kind = GAUSSIAN if i == 0 else BERNOULLI
-        states.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), activations, cfg, rng))
-        if i + 2 < len(sizes):
-            activations = _next_activations(states[-1], activations)
+        states.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), z, cfg, rng, states))
 
     head = (0.01 * rng.standard_normal((sizes[-1], N_LABELS))).astype(np.float32)
     return Dbn([Layer(s.weights, s.hidden_bias) for s in states], head,

@@ -66,9 +66,10 @@ REPORT_COLUMNS = (
 CLEAN_CONDITION = "clean"
 
 # rows of evaluate's stacked segment matrix per forward call on a pool
-# thread: at paper width a few hundred rows run the GEMMs near their full
-# rate, and the activations of the slices in flight stay small
-_SCORE_BLOCK_ROWS = 512
+# thread. A slice's two live activations take 3.1 MB per worker at paper
+# width; against 512 rows, one-thread forward ran 3-6 % slower and the
+# train-paper evaluate stage peaked about 10 MB lower
+_SCORE_BLOCK_ROWS = 256
 
 
 def majority_vote(segment_labels) -> int:
@@ -179,7 +180,8 @@ def evaluate(model: Dbn, entries, config: RunConfig, noises) -> list[EvalReport]
     Pinned, every product runs in the thread that calls it. The pool
     featurizes the utterances, in entry order, and then classifies their
     stacked condition-major segment rows in slices of ``_SCORE_BLOCK_ROWS``
-    rows, one ``forward`` call each; each utterance's segment hits and
+    (256) rows, one ``forward`` call each, so each worker holds at most two
+    of a slice's layer activations; each utterance's segment hits and
     majority votes are tallied from its own slice of the predictions. The
     reports do not depend on the number of threads or the slice size. The
     first failure in entry or slice order is raised; the pool cancels the

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import inspect
 import math
 import os
@@ -35,7 +36,7 @@ from emonoise.dbn import (
     _forward_activations,
     _log_softmax,
     _fine_tune_step,
-    _next_activations,
+    _standardized,
     cd_update,
     fine_tune,
     fit_standardization,
@@ -203,6 +204,24 @@ EPS32 = float(np.finfo(np.float32).eps)
 # and SkylakeX kernels, at one and two threads, they differ by at most
 # 1.2 eps * (1 + |reference|).
 CD_TOL = 2 * EPS32
+
+
+def openblas_corename():
+    """The kernel set OpenBLAS chose for this CPU, such as "SkylakeX"; None where none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(lib), name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def assert_close(got, want, tol):
@@ -380,7 +399,8 @@ class TestTrainRbm:
         assert calls == [4, 4, 2] * cfg.epochs_pretrain
 
     def test_signatures_the_tracer_reads(self):
-        assert list(inspect.signature(train_rbm).parameters) == ["state", "data", "cfg", "rng"]
+        assert list(inspect.signature(train_rbm).parameters) == ["state", "data", "cfg", "rng",
+                                                                 "below"]
         assert list(inspect.signature(fine_tune).parameters) == ["model", "data", "labels", "cfg",
                                                                  "seed"]
 
@@ -472,27 +492,39 @@ class TestPretrain:
         pretrain_dbn(data, [6, 4], TrainConfig(epochs_pretrain=1, batch_size=8), seed=10)
         np.testing.assert_array_equal(data, before)
 
-    # rows chosen so the last _BLOCK_BYTES block of input rows is ragged
-    @pytest.mark.parametrize("n_vis, n_hid, n", [
-        (1000, 1000, 200), (512, 256, 300), (300, 299, 500), (64, 1, 2100), (13, 1000, 5100),
-    ])
-    def test_next_activations_match_hidden_probs(self, n_vis, n_hid, n):
-        rows_per_block = dbn_module._BLOCK_BYTES // (4 * n_vis)
-        assert n > rows_per_block and n % rows_per_block
-        state = state_of(random_rbm(n_vis, n_hid, seed=n_vis + n_hid, scale=0.1))
-        v = np.random.default_rng(n).random((n, n_vis), dtype=np.float32)
-        whole = hidden_probs(state, v.copy())
-        in_place = n_hid <= n_vis
-        # a layer no wider than its input takes its input a row block at a time
-        want = np.concatenate([hidden_probs(state, rows.copy())
-                               for (rows,) in dbn_module._row_blocks(v)]) if in_place else whole
-        got = _next_activations(state, v)
-        np.testing.assert_array_equal(got, want)
-        assert np.shares_memory(got, v) == in_place
-        # OpenBLAS's SkylakeX kernels give the blocks the bits of one whole
-        # product; its Haswell kernels round them differently, by up to 10.5
-        # eps measured
-        assert_close(got, whole, 32 * EPS32)
+    def test_upper_layers_train_on_batches_carried_up_from_z(self, monkeypatch):
+        # 13-64-64-32 on 100 rows at batch 32: the last batch of each epoch
+        # has 4 rows. Every layer's CD batch is its rows of z carried up
+        # through the trained layers below, with no activation matrix built
+        data = np.random.default_rng(63).standard_normal((100, 13))
+        cfg = TrainConfig(epochs_pretrain=2, batch_size=32)
+        orders, batches = [], []  # appended to in step: one order per CD call
+
+        def ordered(n, batch_size, rng, _real=dbn_module._minibatches):
+            for idx in _real(n, batch_size, rng):
+                orders.append(idx)
+                yield idx
+
+        def recorded(state, batch, *args, _real=dbn_module.cd_update):
+            batches.append((state.weights, batch.copy()))
+            return _real(state, batch, *args)
+
+        monkeypatch.setattr(dbn_module, "_minibatches", ordered)
+        monkeypatch.setattr(dbn_module, "cd_update", recorded)
+        model = pretrain_dbn(data, [64, 64, 32], cfg, seed=64)
+        assert len(batches) == len(orders) == 3 * cfg.epochs_pretrain * 4
+        assert [len(b) for _, b in batches[-4:]] == [32, 32, 32, 4]
+        # the kernels that round a product by its row count allow the
+        # tolerance measured on them, up to 10.5 eps
+        tol = 0.0 if openblas_corename() == "SkylakeX" else 32 * EPS32
+        below = _standardized(data, *fit_standardization(data))
+        for layer in model.rbms:
+            seen = [(idx, batch) for idx, (w, batch) in zip(orders, batches) if w is layer.weights]
+            assert len(seen) == 4 * cfg.epochs_pretrain
+            for idx, batch in seen:
+                assert batch.dtype == np.float32
+                assert_close(batch, below[idx], tol)
+            below = hidden_probs(layer, below)
 
 
 class TestForward:
@@ -907,7 +939,7 @@ class TestFloat32Training:
         assert [p.dtype for p in params] == [np.float32] * 3
 
     def test_train_rbm_releases_its_cd_buffers(self):
-        # the next layer's activations are built without them
+        # the next layer's state and fine-tuning's velocities are built without them
         trained = train_rbm(state_of(random_rbm(5, 4, seed=51)),
                             np.random.default_rng(52).random((9, 5)),
                             TrainConfig(epochs_pretrain=2, batch_size=4),
@@ -965,12 +997,11 @@ class TestFloat32Training:
             tracemalloc.stop()
         assert peak < activations + 2 * largest + slack
 
-    def test_pretraining_holds_one_activation_matrix(self):
-        # 13-256-256-16: the 256->256 layer's activations are written over
-        # its input's, so the 4 MB of 4096x256 activations are held once;
-        # building them next to their input, as a wider layer must, would
-        # hold two. The rest took 1.3 MB: the 256x256 state, block-sized
-        # temporaries and the z-scored input
+    def test_pretraining_holds_no_activation_matrix(self):
+        # 13-256-256-16: each upper layer's minibatches are carried up from
+        # the z-scored rows, so no 4 MB matrix of 4096x256 activations is
+        # built. The peak took 1.3 MB: the 256x256 state, the z-scored input,
+        # batch-sized activations and temporaries
         n, widths = 4096, [256, 256, 16]
         data = np.random.default_rng(61).standard_normal((n, 13))
         cfg = TrainConfig(epochs_pretrain=1, batch_size=32)
@@ -981,7 +1012,7 @@ class TestFloat32Training:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < activations + activations // 2
+        assert peak < activations
 
     def test_models_take_float32_parameters_over_and_cast_the_standardization(self):
         model = small_dbn(seed=57)

@@ -4,6 +4,7 @@ import shutil
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -703,6 +704,37 @@ class TestTwoPhaseEvaluate:
         for a, b in zip(*reports, strict=True):
             np.testing.assert_array_equal(a.confusion, b.confusion)
             assert replace(a, confusion=None) == replace(b, confusion=None)
+
+    def test_scoring_holds_two_activations_of_one_slice_per_worker(self, monkeypatch):
+        # a random 13-1000-1000-2000 model, built outside the trace, scores
+        # four 256-row slices per pool worker. forward holds two of a
+        # slice's layer activations at a time, at most 256 x (1000 + 2000)
+        # float32 per worker; the stacked rows, predictions and temporaries
+        # took 0.13 MB a worker more. 512-row slices read 6.3 MB a worker
+        rng = np.random.default_rng(70)
+        sizes = [13, 1000, 1000, 2000]
+        model = Dbn(
+            [Layer((0.05 * rng.standard_normal((nv, nh))).astype(np.float32),
+                   np.zeros(nh, np.float32)) for nv, nh in zip(sizes[:-1], sizes[1:])],
+            (0.05 * rng.standard_normal((sizes[-1], 7))).astype(np.float32),
+            np.zeros(7, np.float32), input_mean=np.zeros(13), input_std=np.ones(13))
+        with _blas.pinned() as n_workers:  # the pool evaluate makes has this many
+            pass
+        slice_rows = 256
+        segments = rng.standard_normal((4 * n_workers, 1, slice_rows, 13))
+        entries = [ManifestEntry(f"{k:04d}a01Wa.wav", Label.ANGER, "01", "test")
+                   for k in range(len(segments))]
+        monkeypatch.setattr(pipeline, "_load_utterance", lambda config, path: path)
+        monkeypatch.setattr(pipeline, "_condition_segments",
+                            lambda config, clip, name, noises, snrs_db: segments[int(name[:4])])
+        tracemalloc.start()
+        try:
+            evaluate(model, entries, RunConfig(), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        two_activations = slice_rows * (sizes[2] + sizes[3]) * 4
+        assert peak < n_workers * (two_activations + (1 << 19))
 
     def test_float32_forward_matches_a_float64_reference(self, learned_run):
         config, model, entries, noises = learned_run
