@@ -492,6 +492,40 @@ class TestPretrain:
         pretrain_dbn(data, [6, 4], TrainConfig(epochs_pretrain=1, batch_size=8), seed=10)
         np.testing.assert_array_equal(data, before)
 
+    # rows chosen so the last minibatch of 64 is ragged
+    @pytest.mark.parametrize("n_vis, n_hid, n", [
+        (1000, 1000, 200), (512, 256, 300), (300, 299, 500), (64, 1, 2100), (13, 1000, 5100),
+    ])
+    def test_next_activations_match_hidden_probs(self, n_vis, n_hid, n, monkeypatch):
+        # the activations the next layer trains on are its minibatches'
+        # rows of hidden_probs over all rows, carried up by train_rbm
+        cfg = TrainConfig(epochs_pretrain=1, batch_size=64)
+        assert n > cfg.batch_size and n % cfg.batch_size
+        state = state_of(random_rbm(n_vis, n_hid, seed=n_vis + n_hid, scale=0.1))
+        v = np.random.default_rng(n).random((n, n_vis), dtype=np.float32)
+        whole = hidden_probs(state, v.copy())
+        orders, batches = [], []
+
+        def ordered(n, batch_size, rng, _real=dbn_module._minibatches):
+            for idx in _real(n, batch_size, rng):
+                orders.append(idx)
+                yield idx
+
+        monkeypatch.setattr(dbn_module, "_minibatches", ordered)
+        monkeypatch.setattr(dbn_module, "cd_update",
+                            lambda state, batch, *args: batches.append(batch.copy()))
+        upper = state_of(random_rbm(n_hid, 2, seed=n))
+        train_rbm(upper, v, cfg, np.random.default_rng(0), [state])
+        assert len(batches) == len(orders) == -(-n // cfg.batch_size)
+        assert sorted(np.concatenate(orders)) == list(range(n))
+        # OpenBLAS's SkylakeX kernels give a minibatch the bits of one whole
+        # product; its Haswell kernels round them differently, by up to 10.5
+        # eps measured
+        tol = 0.0 if openblas_corename() == "SkylakeX" else 32 * EPS32
+        for idx, batch in zip(orders, batches):
+            assert batch.dtype == np.float32 and batch.shape == (len(idx), n_hid)
+            assert_close(batch, whole[idx], tol)
+
     def test_upper_layers_train_on_batches_carried_up_from_z(self, monkeypatch):
         # 13-64-64-32 on 100 rows at batch 32: the last batch of each epoch
         # has 4 rows. Every layer's CD batch is its rows of z carried up
