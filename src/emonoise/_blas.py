@@ -7,9 +7,9 @@ the process's memory map, and binds four of its symbols: numpy's prefixed
 64-bit-integer ones, the plain 64-bit-integer ones or the plain ``int``
 ones, whichever it has.
 
-``gemm`` and ``axpy`` call OpenBLAS for float32 operands laid out in
-C or Fortran order. For any other dtype or layout, or where no OpenBLAS is
-found (not Linux, or another BLAS), they run the same arithmetic in NumPy.
+``gemm`` and ``axpy`` call OpenBLAS for C-order float32 operands, the only
+layout training passes. For any other dtype or layout, or where no OpenBLAS
+is found (not Linux, or another BLAS), they run the same arithmetic in NumPy.
 """
 
 from __future__ import annotations
@@ -97,18 +97,9 @@ def pinned():
         blas.set_threads(n_threads)
 
 
-def _float32_layout(x: np.ndarray):
-    """(transposed, leading dimension) of a 2-D float32 array in row-major CBLAS terms.
-
-    None for another dtype, or a layout that is neither C nor Fortran order.
-    """
-    if x.dtype != np.float32:
-        return None
-    if x.flags.c_contiguous:
-        return False, max(1, x.shape[1])
-    if x.flags.f_contiguous:
-        return True, max(1, x.shape[0])
-    return None
+def _c_float32(*arrays: np.ndarray) -> bool:
+    """Whether every array is C-order float32, the one layout handed to OpenBLAS."""
+    return all(x.dtype == np.float32 and x.flags.c_contiguous for x in arrays)
 
 
 def gemm(a: np.ndarray, b: np.ndarray, alpha: float, beta: float, c: np.ndarray) -> None:
@@ -116,24 +107,20 @@ def gemm(a: np.ndarray, b: np.ndarray, alpha: float, beta: float, c: np.ndarray)
 
     ``a`` is (k, m), ``b`` is (k, n) and ``c`` is (m, n). OpenBLAS's sgemm
     scales ``c`` by ``beta`` and then adds the product, so ``c`` needs no
-    product-sized temporary. A Fortran-order ``c`` is computed as its
-    transpose, ``c.T = alpha * b.T @ a + beta * c.T``.
+    product-sized temporary. It runs for C-order float32 operands and a
+    writable ``c``; any other operands take the NumPy body.
     """
     (k, m), (k_b, n) = a.shape, b.shape
     if k_b != k or c.shape != (m, n):
         raise ValueError(f"gemm shapes {a.shape}.T @ {b.shape} -> {c.shape} do not match")
-    if c.flags.f_contiguous and not c.flags.c_contiguous:
-        a, b, c, (m, n) = b, a, c.T, (n, m)
     blas = _openblas()
-    layouts = _float32_layout(a), _float32_layout(b), _float32_layout(c)
-    if blas is None or None in layouts or not c.flags.writeable:
+    if blas is None or not _c_float32(a, b, c) or not c.flags.writeable:
         c *= beta
         c += alpha * (a.T @ b)
         return
-    (a_t, lda), (b_t, ldb), (_, ldc) = layouts
-    # op(A) = a.T: a C-order a is transposed in place, a Fortran-order one is a.T already
-    blas.sgemm(_ROW_MAJOR, _NO_TRANS if a_t else _TRANS, _TRANS if b_t else _NO_TRANS,
-               m, n, k, alpha, a.ctypes.data, lda, b.ctypes.data, ldb, beta, c.ctypes.data, ldc)
+    # op(A) = a.T: sgemm reads the C-order (k, m) a transposed
+    blas.sgemm(_ROW_MAJOR, _TRANS, _NO_TRANS, m, n, k, alpha, a.ctypes.data, max(1, m),
+               b.ctypes.data, max(1, n), beta, c.ctypes.data, max(1, n))
 
 
 def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> None:
@@ -141,10 +128,7 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape:
         raise ValueError(f"axpy shapes {x.shape} and {y.shape} differ")
     blas = _openblas()
-    same_order = (x.flags.c_contiguous and y.flags.c_contiguous
-                  or x.flags.f_contiguous and y.flags.f_contiguous)
-    if (blas is None or not same_order or x.dtype != np.float32 or y.dtype != np.float32
-            or not y.flags.writeable):
+    if blas is None or not _c_float32(x, y) or not y.flags.writeable:
         y += alpha * x
         return
     blas.saxpy(y.size, alpha, x.ctypes.data, 1, y.ctypes.data, 1)

@@ -264,7 +264,9 @@ def apply_settings(base: RunConfig, settings, source: str) -> RunConfig:
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     """Parse a config file into a RunConfig on top of ``base`` (or defaults)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an ordinary section that
+    # apply_settings refuses, not defaults merged into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh, source=str(path))

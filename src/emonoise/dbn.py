@@ -28,20 +28,18 @@ drawn into one float32 array, and that array is trained, saved, loaded
 and scored with. Only the input standardization is float64.
 
 - ``pretrain_dbn`` draws each layer's weights into a float32 ``RbmState``
-  a row block at a time, and ``train_rbm`` advances it in place. Every
-  layer trains on the z-scored input rows: each minibatch is gathered from
-  them and carried up through the trained layers below by
-  ``hidden_probs``, so no activation matrix is ever built. While a layer
-  trains, the live arrays are its state (weights, momentum buffers and the
-  batch-sized stacks each CD step works in), the parameters of the layers
-  below it, the z-scored rows and one minibatch's activations.
-  ``train_rbm`` releases the momentum buffers and stacks before the next
-  layer's state is drawn.
-- ``pretrain_dbn`` returns a ``Dbn`` of the states' weights and hidden
-  biases (the visible biases serve CD only and are dropped), a float32
-  head and the float64 standardization. ``fine_tune`` updates those same
-  arrays in place, next to one velocity per parameter, and returns the
-  model.
+  a row block at a time, and ``train_rbm`` advances it in place and
+  returns its weights and hidden bias as a ``Layer`` (the visible bias
+  serves CD only and is dropped with the state). Every layer trains on the
+  z-scored input rows: each minibatch is gathered from them and carried
+  up through the trained ``Layer``s below by ``hidden_probs``, so no
+  activation matrix is ever built. While a layer trains, the live arrays
+  are its state (weights, momentum buffers and the batch-sized stacks each
+  CD step works in), the ``Layer``s below it, the z-scored rows and one
+  minibatch's activations.
+- ``pretrain_dbn`` returns a ``Dbn`` of those ``Layer``s, a float32 head
+  and the float64 standardization. ``fine_tune`` updates those same arrays
+  in place, next to one velocity per parameter, and returns the model.
 - ``save_model`` writes a ``DBN2`` file: the layers and the head as
   float32, the standardization as float64. ``load_model`` refuses the
   float64 ``DBN1`` files of earlier versions and asks for the train stage
@@ -52,8 +50,8 @@ and scored with. Only the input standardization is float64.
 
 A model that ``fine_tune`` or ``load_model`` returns is never written
 again, so it is safe for concurrent read-only inference. ``hidden_probs``
-and ``visible_recon`` take an ``RbmState`` and float32 rows, and neither
-cast nor check them.
+takes a ``Layer`` or an ``RbmState`` and ``visible_recon`` an ``RbmState``,
+each with float32 rows, and neither casts nor checks them.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     activation matrix needs no scratch of its own size.
     """
     den = None
-    for (block,) in _row_blocks(z):
+    for block in _row_blocks(z):
         # the first block's scratch, sliced for the ragged last one
         den = np.empty_like(block) if den is None else den[: len(block)]
         np.abs(block, out=den)
@@ -181,10 +179,8 @@ class RbmState:
     computed into the stacks too (see ``cd_update``). The stacks start
     empty and grow to twice the largest batch seen. The float32 parameter
     arrays are taken over as they are, so the state trains them in place.
-    ``train_rbm`` sets the momentum and stack buffers to None once its
-    epochs are done: only the parameters live on. They carry every upper
-    layer's minibatches up to it, and the weights and hidden bias become a
-    ``Layer`` of the model ``pretrain_dbn`` returns.
+    A state lives only while ``train_rbm`` trains it; the ``Layer`` it
+    returns keeps the weights and hidden bias.
     """
 
     def __init__(self, weights, visible_bias, hidden_bias, visible_kind: str = BERNOULLI) -> None:
@@ -207,22 +203,23 @@ class RbmState:
         return self.weights.shape[1]
 
 
-def _row_blocks(*arrays: np.ndarray):
-    """Matching row slices of arrays with one row count, about _BLOCK_BYTES of the first."""
-    first = arrays[0]
-    step = max(1, _BLOCK_BYTES * len(first) // max(1, first.nbytes))
-    for start in range(0, len(first), step):
-        yield tuple(a[start : start + step] for a in arrays)
+def _row_blocks(a: np.ndarray):
+    """Row slices of ``a``, each about _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES * len(a) // max(1, a.nbytes))
+    for start in range(0, len(a), step):
+        yield a[start : start + step]
 
 
-def hidden_probs(state: RbmState, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def hidden_probs(layer: Layer | RbmState, v: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """P(h_j = 1 | v) = sigmoid(hidden_bias + v @ W) for float32 rows ``v``, in float32.
 
-    Written into ``out`` where one is given: a C-order float32 array of the
-    result's shape that does not overlap ``v``.
+    ``layer`` is a ``Layer`` or an ``RbmState``. Written into ``out`` where
+    one is given: a C-order float32 array of the result's shape that does
+    not overlap ``v``.
     """
-    pre = np.matmul(v, state.weights, out=out)
-    pre += state.hidden_bias
+    pre = np.matmul(v, layer.weights, out=out)
+    pre += layer.hidden_bias
     return _sigmoid_inplace(pre)
 
 
@@ -322,7 +319,7 @@ def _init_state(n_visible: int, n_hidden: int, kind: str, rng: np.random.Generat
     scaled by 0.01 and cast.
     """
     weights = np.empty((n_visible, n_hidden), dtype=np.float32)
-    for (rows,) in _row_blocks(weights):
+    for rows in _row_blocks(weights):
         draw = rng.standard_normal(rows.shape)
         draw *= 0.01
         rows[...] = draw
@@ -337,7 +334,7 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_rbm(state: RbmState, data: np.ndarray, cfg: TrainConfig,
-              rng: np.random.Generator, below: Sequence[RbmState] = ()) -> RbmState:
+              rng: np.random.Generator, below: Sequence[Layer] = ()) -> Layer:
     """Run epochs_pretrain epochs of CD over shuffled minibatches, advancing ``state`` in place.
 
     ``below`` lists the trained layers under this one, input side first.
@@ -349,10 +346,9 @@ def train_rbm(state: RbmState, data: np.ndarray, cfg: TrainConfig,
     the same rows of one product over all rows; its Haswell kernels round a
     product by its row count, there by up to about 10 float32 eps.
 
-    Returns ``state``, its parameters trained and its momentum and stack
-    buffers set to None: nothing trains it by CD again, and at 1000x2000
-    the weights' momentum buffer holds 8 MB that the fine-tuning
-    velocities would otherwise be built next to.
+    Returns the trained ``Layer``, the state's own weight and hidden-bias
+    arrays, and keeps nothing else of the state: its momentum buffers and
+    stacks (8 MB of weight momentum at 1000x2000) are freed with it.
     """
     for _ in range(cfg.epochs_pretrain):
         for idx in _minibatches(data.shape[0], cfg.batch_size, rng):
@@ -360,9 +356,7 @@ def train_rbm(state: RbmState, data: np.ndarray, cfg: TrainConfig,
             for layer in below:
                 batch = hidden_probs(layer, batch)
             cd_update(state, batch, cfg, rng)
-    state.velocity_weights = state.velocity_visible_bias = state.velocity_hidden_bias = None
-    state.stack_visible = state.stack_hidden = None
-    return state
+    return Layer(state.weights, state.hidden_bias)
 
 
 def fit_standardization(train_features):
@@ -403,30 +397,29 @@ def pretrain_dbn(data, hidden_sizes, cfg: TrainConfig, seed: int) -> Dbn:
     initialized (seeded normal, sd 0.01). ``seed`` fixes every draw.
     Everything stays float32: the rows are z-scored and cast once
     (``_standardized``), each layer's weights are drawn into its RbmState
-    (``_init_state``), and ``train_rbm`` returns that state with only its
-    parameters left. Every layer trains on the z-scored rows and the
-    trained states below it, which ``train_rbm`` carries each minibatch up
-    through, so while a layer trains only its state, the layers below it
-    and the z-scored rows are alive: at paper width the top layer trains
-    without the 16.8 MB of 4200x1000 activations under it. The head is
-    drawn in float64 and cast, as the weights are. The returned model
-    holds each state's weights and hidden bias, and ``fine_tune`` trains
-    these arrays in place.
+    (``_init_state``), and ``train_rbm`` returns the trained ``Layer``,
+    leaving the rest of the state to be freed. Every layer trains on the
+    z-scored rows and the ``Layer``s below it, which ``train_rbm`` carries
+    each minibatch up through, so while a layer trains only its state, the
+    layers below it and the z-scored rows are alive: at paper width the
+    top layer trains without the 16.8 MB of 4200x1000 activations under
+    it. The head is drawn in float64 and cast, as the weights are. The
+    returned model holds those ``Layer``s, and ``fine_tune`` trains their
+    arrays in place.
     """
     data = np.asarray(data, dtype=np.float64)
     sizes = [data.shape[1], *hidden_sizes]
     mean, std = fit_standardization(data)
 
     rng = np.random.default_rng(seed)
-    states: list[RbmState] = []
+    layers: list[Layer] = []
     z = _standardized(data, mean, std)
     for i, (n_vis, n_hid) in enumerate(zip(sizes[:-1], sizes[1:])):
         kind = GAUSSIAN if i == 0 else BERNOULLI
-        states.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), z, cfg, rng, states))
+        layers.append(train_rbm(_init_state(n_vis, n_hid, kind, rng), z, cfg, rng, layers))
 
     head = (0.01 * rng.standard_normal((sizes[-1], N_LABELS))).astype(np.float32)
-    return Dbn([Layer(s.weights, s.hidden_bias) for s in states], head,
-               np.zeros(N_LABELS, dtype=np.float32), mean, std)
+    return Dbn(layers, head, np.zeros(N_LABELS, dtype=np.float32), mean, std)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -437,14 +430,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _forward_activations(layers, head, z: np.ndarray):
     """Every layer's activations, ``z`` first, and the head's logits for standardized rows ``z``.
 
-    ``layers`` lists (W, hidden bias). Backpropagation needs them all;
-    ``forward``, which needs only the last, has its own loop.
+    ``layers`` lists ``Layer``s and ``head`` is the softmax (W, bias).
+    Backpropagation needs every activation; ``forward`` keeps only the last.
     """
     activations = [z]
-    for w, c in layers:
-        pre = activations[-1] @ w
-        pre += c
-        activations.append(_sigmoid_inplace(pre))
+    for layer in layers:
+        activations.append(hidden_probs(layer, activations[-1]))
     logits = activations[-1] @ head[0] + head[1]
     return activations, logits
 
@@ -464,10 +455,8 @@ def forward(dbn: Dbn, x) -> np.ndarray:
     if x.shape[-1] != dbn.n_inputs:
         raise ValueError(f"input rows have {x.shape[-1]} entries, want {dbn.n_inputs}")
     act = _standardized(x, dbn.input_mean, dbn.input_std)
-    for w, c in dbn.rbms:
-        act = act @ w
-        act += c
-        _sigmoid_inplace(act)
+    for layer in dbn.rbms:
+        act = hidden_probs(layer, act)
     logits = act @ dbn.softmax_weights
     logits += dbn.softmax_bias
     return np.exp(_log_softmax(logits.astype(np.float64)))
@@ -477,7 +466,7 @@ def _fine_tune_step(layers, head, velocities, z: np.ndarray, labels: np.ndarray,
                     momentum: float) -> None:
     """One momentum SGD step on the mean cross-entropy of standardized rows ``z``, in place.
 
-    ``layers`` lists each sigmoid layer's (W, hidden bias) and ``head`` is
+    ``layers`` lists each sigmoid ``Layer`` and ``head`` is
     the softmax (W, bias); ``velocities`` holds one (weight, bias) velocity
     pair per layer and a last one for the head. Each parameter p with
     gradient g takes v = momentum*v - step*g, then p += v. ``step``/n is

@@ -11,8 +11,8 @@ EPS32 = float(np.finfo(np.float32).eps)
 def operand(rng, shape, layout):
     """A float32 array of ``shape`` in C order, Fortran order, or as a strided view.
 
-    The strided view is every other column of a wider array, a layout OpenBLAS
-    is not handed, so it takes the NumPy body.
+    Only C order is handed to OpenBLAS; the Fortran-order array and the
+    strided view, every other column of a wider array, take the NumPy body.
     """
     if layout == "strided":
         return rng.standard_normal((shape[0], 2 * shape[1])).astype(np.float32)[:, ::2]
@@ -99,6 +99,78 @@ class TestAxpy:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="axpy shapes"):
             _blas.axpy(1.0, np.zeros(4, np.float32), np.zeros(5, np.float32))
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """The sgemm and saxpy calls made through a stand-in for numpy's OpenBLAS."""
+    calls = []
+    fake = _blas._OpenBlas(None, None, lambda *args: calls.append(("sgemm", args)),
+                           lambda *args: calls.append(("saxpy", args)))
+    monkeypatch.setattr(_blas, "_openblas", lambda: fake)
+    return calls
+
+
+# the layouts that take the NumPy body, each made from a C-order float32 array
+OTHER_LAYOUTS = {
+    "F": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+    "float64": lambda x: x.astype(np.float64),
+}
+
+
+def read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+class TestDispatch:
+    """C-order float32 operands reach OpenBLAS; every other layout takes the NumPy body."""
+
+    def test_c_order_float32_gemm_reaches_sgemm(self, recording):
+        a, b, c = (np.zeros(shape, np.float32) for shape in ((9, 4), (9, 5), (4, 5)))
+        _blas.gemm(a, b, -1.0, 0.9, c)
+        assert recording == [("sgemm", (
+            _blas._ROW_MAJOR, _blas._TRANS, _blas._NO_TRANS, 4, 5, 9, -1.0,
+            a.ctypes.data, 4, b.ctypes.data, 5, 0.9, c.ctypes.data, 5))]
+
+    def test_c_order_float32_axpy_reaches_saxpy(self, recording):
+        x, y = (np.zeros((4, 5), np.float32) for _ in range(2))
+        _blas.axpy(0.5, x, y)
+        assert recording == [("saxpy", (20, 0.5, x.ctypes.data, 1, y.ctypes.data, 1))]
+
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_other_gemm_operands_take_the_numpy_body(self, recording, layout, name):
+        rng = np.random.default_rng(6)
+        ops = {n: operand(rng, shape, "C") for n, shape in zip("abc", ((9, 4), (9, 5), (4, 5)))}
+        ops[name] = OTHER_LAYOUTS[layout](ops[name])
+        a, b, c = ops.values()
+        want = 0.5 * c + 2.0 * (a.T.astype(np.float64) @ b)
+        _blas.gemm(a, b, 2.0, 0.5, c)
+        np.testing.assert_allclose(c, want, rtol=1e-5, atol=1e-5)
+        assert recording == []
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_other_axpy_operands_take_the_numpy_body(self, recording, layout, name):
+        rng = np.random.default_rng(7)
+        ops = {n: operand(rng, (6, 5), "C") for n in "xy"}
+        ops[name] = OTHER_LAYOUTS[layout](ops[name])
+        x, y = ops.values()
+        want = y + 0.5 * x.astype(np.float64)
+        _blas.axpy(0.5, x, y)
+        np.testing.assert_allclose(y, want, rtol=1e-6, atol=1e-6)
+        assert recording == []
+
+    def test_read_only_output_is_not_written_through_its_pointer(self, recording):
+        # a read-only c or y never reaches OpenBLAS: the NumPy body refuses to write it
+        a, b, c = (np.zeros(shape, np.float32) for shape in ((9, 4), (9, 5), (4, 5)))
+        with pytest.raises(ValueError, match="read-only"):
+            _blas.gemm(a, b, 1.0, 0.5, read_only(c))
+        with pytest.raises(ValueError, match="read-only"):
+            _blas.axpy(1.0, a, read_only(np.zeros_like(a)))
+        assert recording == []
 
 
 class TestOpenBlas:

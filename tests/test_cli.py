@@ -12,7 +12,7 @@ import emonoise
 from emonoise import cli, pipeline
 from emonoise.audio import AudioClip
 from emonoise.cli import dispatch, main, parse_args
-from emonoise.config import _SCHEMA, RunConfig, load_config
+from emonoise.config import _SCHEMA, ConfigError, RunConfig, load_config
 from emonoise.dbn import load_model, save_model
 from emonoise.manifest import read_manifest
 
@@ -163,6 +163,19 @@ class TestConfigFile:
         cfg_file = tmp_path / "empty.cfg"
         cfg_file.write_text("")
         assert load_config(cfg_file) == RunConfig()
+
+    # configparser's [DEFAULT] would be dropped when alone and merged into
+    # every other section otherwise; here it is a section no key belongs to
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 7\n",
+        "[DEFAULT]\nseed = 7\n[pipeline]\nwork_dir = w\n",
+        "[pipeline]\nwork_dir = w\n[DEFAULT]\nn_mels = 30\n",
+    ], ids=["alone", "before-pipeline", "after-pipeline"])
+    def test_default_section_is_refused(self, tmp_path, text):
+        cfg_file = tmp_path / "defaults.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(cfg_file)
 
     def test_every_settable_field_has_exactly_one_key(self):
         nested = ("mfcc", "segment", "train")
@@ -396,3 +409,10 @@ class TestStagesWithoutNumpy:
                                          cwd=tmp_path)
         assert done.returncode == 2, done.stderr
         assert "cannot read config file" in done.stderr
+
+    def test_default_section_in_config_exits_two(self, tmp_path):
+        cfg_file = tmp_path / "defaults.ini"
+        cfg_file.write_text("[DEFAULT]\nseed = 7\n")
+        done = run_without_site_packages("prepare", "--config", str(cfg_file), cwd=tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert "unknown config section [DEFAULT]" in done.stderr

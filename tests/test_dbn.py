@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import tracemalloc
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -377,11 +378,14 @@ class TestTrainRbm:
         data = np.random.default_rng(42).random((10, 5))
         cfg = TrainConfig(epochs_pretrain=3, batch_size=4, cd_steps=2)
         state = state_of(rbm)
-        trained = train_rbm(state, data, cfg, np.random.default_rng(43))
+        layer = train_rbm(state, data, cfg, np.random.default_rng(43))
         want = reference_train_rbm(as_f32(rbm_params(rbm)), kind == GAUSSIAN,
                                    data.astype(np.float32), cfg, np.random.default_rng(43))
-        assert trained is state and trained.visible_kind == kind
-        assert_params_close(trained, want)
+        # the returned Layer is the state's own trained arrays, not a copy
+        assert isinstance(layer, Layer)
+        assert layer.weights is state.weights and layer.hidden_bias is state.hidden_bias
+        assert state.visible_kind == kind
+        assert_params_close(state, want)
 
     def test_calls_module_cd_update_once_per_minibatch(self, monkeypatch):
         # perfbench/tracing.py times CD steps by wrapping the module-global name
@@ -648,7 +652,7 @@ class TestFineTune:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((12, 4))
         y = rng.integers(0, 7, size=12)
-        layers = [(w.astype(np.float64), c.astype(np.float64)) for w, c in model.rbms]
+        layers = [Layer(w.astype(np.float64), c.astype(np.float64)) for w, c in model.rbms]
         head = (model.softmax_weights.astype(np.float64), model.softmax_bias.astype(np.float64))
         z = (x - model.input_mean) / model.input_std
 
@@ -966,21 +970,22 @@ class TestFloat32Training:
         assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
         # the CD statistic goes straight into the velocity: no weight-sized gradient buffer
         assert not hasattr(state, "grad")
-        trained = train_rbm(state, np.random.default_rng(52).random((9, 5)),
-                            TrainConfig(epochs_pretrain=2, batch_size=4),
-                            np.random.default_rng(53))
-        params = rbm_params(trained)
-        assert [p.dtype for p in params] == [np.float32] * 3
+        layer = train_rbm(state, np.random.default_rng(52).random((9, 5)),
+                          TrainConfig(epochs_pretrain=2, batch_size=4),
+                          np.random.default_rng(53))
+        assert [a.dtype for a in layer] == [np.float32] * 2
 
-    def test_train_rbm_releases_its_cd_buffers(self):
-        # the next layer's state and fine-tuning's velocities are built without them
-        trained = train_rbm(state_of(random_rbm(5, 4, seed=51)),
-                            np.random.default_rng(52).random((9, 5)),
-                            TrainConfig(epochs_pretrain=2, batch_size=4),
-                            np.random.default_rng(53))
-        assert [trained.velocity_weights, trained.velocity_visible_bias,
-                trained.velocity_hidden_bias, trained.stack_visible,
-                trained.stack_hidden] == [None] * 5
+    def test_train_rbm_keeps_no_state_alive(self):
+        # the next layer's state and fine-tuning's velocities are built
+        # without the trained state's momentum buffers and stacks
+        state = state_of(random_rbm(5, 4, seed=51))
+        ref = weakref.ref(state)
+        layer = train_rbm(state, np.random.default_rng(52).random((9, 5)),
+                          TrainConfig(epochs_pretrain=2, batch_size=4),
+                          np.random.default_rng(53))
+        del state
+        assert ref() is None
+        assert layer.weights.shape == (5, 4) and layer.hidden_bias.shape == (4,)
 
     def test_float32_arrays_are_taken_over(self):
         w, b, c = (np.zeros(shape, dtype=np.float32) for shape in ((3, 2), 3, 2))
